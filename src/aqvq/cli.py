@@ -21,7 +21,15 @@ import numpy as np
 
 from .analysis import fit_analytic, gradient_gap
 from .data import DatasetSource, make_dataset
-from .errors import ConfigError, ContractError, DimensionError, FitError, FormatError, NumericError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    DomainError,
+    FitError,
+    FormatError,
+    NumericError,
+)
 from .experiments import AblationGrid, run_ablation, run_fixed_sweep, train_run
 from .model import ModelConfig
 from .persist import (
@@ -38,18 +46,22 @@ __all__ = ["cli_main", "main"]
 SEED_ENV_VAR = "AQVQ_SEED"
 
 
+def _read_json(path: str, kind: str):
+    """Parse a JSON input file; a missing or malformed one is a ConfigError."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{kind} not found: {p}")
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{p}: malformed JSON at line {err.lineno}: {err.msg}") from err
+
+
 def _load_run_config(path: str | None) -> dict:
     """Read and resolve a run config file; defaults when no path is given."""
     if path is None:
         return resolve_run_config({})
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{p}: malformed JSON at line {err.lineno}: {err.msg}") from err
-    return resolve_run_config(raw)
+    return resolve_run_config(_read_json(path, "config file"))
 
 
 def _apply_seed_override(resolved: dict) -> dict:
@@ -165,12 +177,7 @@ def _cmd_adaptive(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    grid_spec = {}
-    if args.grid is not None:
-        grid_path = Path(args.grid)
-        if not grid_path.exists():
-            raise ConfigError(f"grid file not found: {grid_path}")
-        grid_spec = json.loads(grid_path.read_text(encoding="utf-8"))
+    grid_spec = {} if args.grid is None else _read_json(args.grid, "grid file")
     known = {"capacities", "use_ema", "alphas", "betas"}
     unknown = set(grid_spec) - known
     if unknown:
@@ -212,10 +219,7 @@ def _cmd_analyze(args) -> int:
         print(f"gradient gap on {probe.shape[0]} validation samples: {gap:.10g}")
         return 0
     if args.fit_analytic is not None:
-        path = Path(args.fit_analytic)
-        if not path.exists():
-            raise ConfigError(f"sweep report not found: {path}")
-        rows = json.loads(path.read_text(encoding="utf-8"))
+        rows = _read_json(args.fit_analytic, "sweep report")
         pairs = [(row["n"], row["final_val_recon_sum"]) for row in rows
                  if row.get("final_val_recon_sum") is not None]
         result = fit_analytic(pairs)
@@ -300,7 +304,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, FormatError, FitError) as err:
+    except (ConfigError, DomainError, FormatError, FitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (NumericError, ContractError, DimensionError, OSError) as err:

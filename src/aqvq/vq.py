@@ -119,23 +119,79 @@ def _rows_of(z) -> np.ndarray:
     return arr
 
 
+# distance elements per tile: T x width doubles, 512 KB, so a tile stays in L2
+TILE_ELEMENTS = 1 << 16
+# tile widths are whole multiples of this many codewords (see nearest_indices)
+PANEL = 8
+
+
 def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
-    """Index of the closest codeword per row; ties go to the lowest index."""
+    """Index of the closest codeword per row; ties go to the lowest index.
+
+    Squared distances are ``(|z|^2 - 2 z.e) + |e|^2``, computed for one
+    tile of codewords at a time into a single reused T x width buffer of
+    about TILE_ELEMENTS doubles. Tiles are merged with a strict ``<``,
+    so an earlier tile keeps a tie.
+
+    Every tile has the same width, a whole multiple of PANEL codewords;
+    the last one is padded with zero codewords whose ``|e|^2`` is
+    ``+inf``, so a pad is never picked. This keeps ties exact: BLAS
+    computes a partial panel of columns with another kernel than a
+    whole one, which can round ``z.e`` differently, so bit-identical
+    codewords would get different distances and a higher index could
+    win. ``TestNearestIndices::test_duplicate_codewords_go_to_lowest_index``
+    pins the rule. For D == 1 the products come from ``np.multiply``,
+    which forms the same exact products far faster than a K=1 matmul.
+    """
     z = _rows_of(z_rows)
     emb = codebook.embeddings.data
     if z.shape[1] != emb.shape[1]:
         raise DimensionError(
             f"rows have dimension {z.shape[1]}, codebook has {emb.shape[1]}"
         )
-    code_sq = (emb * emb).sum(axis=1)
-    out = np.empty(z.shape[0], dtype=np.int64)
-    # chunk the T x N distance matrix to keep memory bounded for large N
-    block = max(1, int(4_000_000 // max(1, emb.shape[0])))
-    for start in range(0, z.shape[0], block):
-        zb = z[start : start + block]
-        d2 = (zb * zb).sum(axis=1)[:, None] - 2.0 * (zb @ emb.T) + code_sq[None, :]
-        out[start : start + block] = np.argmin(d2, axis=1)
-    return out
+    rows, (n, d) = z.shape[0], emb.shape
+    if n == 0:
+        raise ContractError("codebook has no codewords")
+    width = max(PANEL, TILE_ELEMENTS // max(rows, 1) // PANEL * PANEL)
+    width = min(width, -(-n // PANEL) * PANEL)
+    padded = -(-n // width) * width
+    code_sq = np.full(padded, np.inf, dtype=emb.dtype)
+    code_sq[:n] = (emb * emb).sum(axis=1)
+    row_sq = (z * z).sum(axis=1)[:, None]
+    # -2 z.e as (-2 z).e: scaling by a power of two is exact
+    scaled = z * -2.0
+    if padded > width:
+        # spread the per-row terms over a whole tile once: numpy combines two
+        # full arrays over twice as fast as it broadcasts a column across one
+        row_sq = np.repeat(row_sq, width, axis=1)
+        if d == 1:
+            scaled = np.repeat(scaled, width, axis=1)
+    buf = np.empty((rows, width), dtype=np.result_type(z, emb))
+
+    def tile_argmin(start):
+        tile = emb[start : start + width]
+        if tile.shape[0] < width:
+            tile = np.concatenate([tile, np.zeros((width - tile.shape[0], d), emb.dtype)])
+        if d == 1:
+            np.copyto(buf, tile.T)
+            np.multiply(scaled, buf, out=buf)
+        else:
+            np.matmul(scaled, tile.T, out=buf)
+        np.add(row_sq, buf, out=buf)
+        np.add(buf, code_sq[start : start + width], out=buf)
+        return buf.argmin(axis=1)
+
+    best = tile_argmin(0)
+    if padded > width:
+        picks = np.arange(rows)
+        best_d2 = buf[picks, best]
+        for start in range(width, padded, width):
+            idx = tile_argmin(start)
+            d2 = buf[picks, idx]
+            closer = d2 < best_d2
+            best[closer] = idx[closer] + start
+            best_d2[closer] = d2[closer]
+    return best
 
 
 def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,

@@ -156,6 +156,16 @@ class TestAblate:
         rows = json.loads((out / "ablation.json").read_text())
         assert [r["seed"] for r in rows] == [1, 2]
 
+    def test_malformed_grid_json(self, tmp_path, run_config, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"capacities": [16,')
+        rc = cli_main(["ablate", "--grid", str(grid), "--config", str(run_config),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed JSON" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_grid_key(self, tmp_path, run_config):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"gammas": [0.5]}))
@@ -182,6 +192,24 @@ class TestAnalyzeAndReport:
         assert rc == 0
         out = capsys.readouterr().out
         assert "optimal_n" in out
+
+    def test_fit_analytic_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text("[{\"n\": 2,")
+        assert cli_main(["analyze", "--fit-analytic", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed JSON" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_fit_analytic_nonpositive_size(self, tmp_path, capsys):
+        rows = [{"n": n, "d": 1, "final_val_recon_sum": 1.0 + abs(n)}
+                for n in (0, 2, 4, 8)]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(rows))
+        assert cli_main(["analyze", "--fit-analytic", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_analyze_needs_a_task(self, capsys):
         assert cli_main(["analyze"]) == 1

@@ -1,10 +1,15 @@
 """Fixed-codebook quantization: assignment, losses, straight-through,
 EMA updates, and the projection maps."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_force_nearest
+from aqvq import vq
 from aqvq.errors import ConfigError, ContractError, DimensionError
 from aqvq.tensor import Tensor, backward, finite_difference_grad, matmul, mse, relative_error
 from aqvq.vq import (
@@ -72,14 +77,67 @@ class TestNearestIndices:
                                           brute_force_nearest(z, emb))
 
     def test_chunked_path_matches(self):
-        # force the memory-bounded chunking branch with a large codebook
+        # several tiles of codewords, the last one ragged
         rng = RNG(3)
-        emb = rng.normal(size=(4096, 2))
-        z = rng.normal(size=(2000, 2))
-        cb = Codebook(emb)
-        idx = nearest_indices(z, cb)
-        direct = np.argmin(((z[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2), axis=1)
-        np.testing.assert_array_equal(idx, direct)
+        for t, n, d in [(2000, 4100, 2), (300, 1000, 1), (64, 5000, 3)]:
+            emb = rng.normal(size=(n, d))
+            z = rng.normal(size=(t, d))
+            idx = nearest_indices(z, Codebook(emb))
+            direct = np.argmin(((z[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2), axis=1)
+            np.testing.assert_array_equal(idx, direct)
+
+    def test_duplicate_codewords_go_to_lowest_index(self):
+        # bit-identical codewords must get bit-identical distances; with N
+        # not a multiple of 8, a partial BLAS panel rounds z.e differently
+        rng = RNG(0)
+        for d in (1, 2, 3, 5, 16, 128):
+            for _ in range(60):
+                n = int(rng.integers(d + 1, 400))
+                n += n % 8 == 0
+                t = int(rng.integers(1, 301))
+                emb = rng.normal(size=(n, d))
+                copies = n // 4 + 1
+                emb[rng.integers(0, n, size=copies)] = emb[rng.integers(0, n, size=copies)]
+                got = nearest_indices(rng.normal(size=(t, d)), Codebook(emb))
+                _, first, inverse = np.unique(emb, axis=0, return_index=True,
+                                              return_inverse=True)
+                lowest = first[inverse.ravel()]
+                np.testing.assert_array_equal(lowest[got], got)
+
+    def test_empty_codebook_rejected(self):
+        with pytest.raises(ContractError):
+            nearest_indices(np.zeros((2, 2)), Codebook(np.zeros((0, 2))))
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_property_matches_brute_force(self, data):
+        # dyadic values keep both distance formulas exact, so their ties
+        # agree; a small tile budget makes several tiles and a ragged last
+        n = data.draw(st.integers(1, 40), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        t = data.draw(st.integers(1, 12), label="t")
+        values = st.integers(-8, 8).map(lambda k: k / 4.0)
+        if data.draw(st.booleans(), label="dyadic"):
+            emb = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d)))
+            z = np.array(data.draw(st.lists(values, min_size=t * d, max_size=t * d)))
+        else:
+            rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            emb, z = rng.normal(size=n * d), rng.normal(size=t * d)
+        emb, z = emb.reshape(n, d), z.reshape(t, d)
+        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                     st.integers(0, n - 1)), max_size=4)):
+            emb[dst] = emb[src]
+        tile = data.draw(st.sampled_from([8, 64, 256, 1 << 16]), label="tile_elements")
+        with mock.patch.object(vq, "TILE_ELEMENTS", tile):
+            got = nearest_indices(z, Codebook(emb))
+        want = brute_force_nearest(z, emb)
+        for row, pick, best in zip(z, got, want):
+            if pick == best:
+                continue
+            d_pick = float(np.dot(row - emb[pick], row - emb[pick]))
+            d_best = float(np.dot(row - emb[best], row - emb[best]))
+            assert d_pick != d_best, "an exact tie must go to the lowest index"
+            assert d_pick - d_best <= 1e-9 * (row @ row + emb[pick] @ emb[pick])
 
 
 class TestQuantize:
