@@ -6,9 +6,7 @@ temperature anneals.
 Run: python demos/04_adaptive_selection.py
 """
 
-import numpy as np
-
-from aqvq.adaptive import SelectionRecord, usage_histogram
+from aqvq.adaptive import usage_histogram
 from aqvq.data import DatasetSource, synth_dataset
 from aqvq.experiments import run_adaptive, run_fixed_sweep
 from aqvq.model import ModelConfig
@@ -21,13 +19,11 @@ budget = 1200
 report = run_adaptive(dataset, 64, budget=budget, seed=0,
                       base=base, gap_every=0)
 
-records = [SelectionRecord(step=r["step"], counts=np.array(r["usage"]),
-                           temperature=r["temperature"])
-           for r in report.records]
+counts = [r["usage"] for r in report.records]
 labels = ["[16,4]", "[32,2]", "[64,1]"]
 print("selection frequency over training (window = 200 steps)")
 print("steps      " + "  ".join(f"{l:>7}" for l in labels))
-for i, row in enumerate(usage_histogram(records, window=200)):
+for i, row in enumerate(usage_histogram(counts, window=200)):
     lo, hi = i * 200 + 1, min((i + 1) * 200, budget)
     print(f"{lo:4d}-{hi:4d}  " + "  ".join(f"{v:7.3f}" for v in row))
 

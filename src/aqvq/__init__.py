@@ -9,10 +9,8 @@ capacity trade-off (``analysis``), experiment protocols
 """
 
 from .adaptive import (
-    AdaptiveForward,
     CodebookPool,
-    SelectionRecord,
-    adaptive_quantize,
+    adaptive_forward,
     attention_logits,
     enumerate_structures,
     gumbel_softmax,
@@ -45,19 +43,20 @@ from .model import (
     evaluate,
     forward_loss,
     init_state,
+    quantizer_output,
     train_step,
 )
 from .persist import RunReport, load_checkpoint, save_checkpoint
-from .tensor import Graph, Tensor, backward, finite_difference_grad
+from .tensor import Graph, Tensor, backward, finite_difference_grad, straight_through
 from .vq import (
     Codebook,
     CodebookSpec,
     QuantizeOutput,
     QuantizerLayer,
+    QuantResult,
     ema_update,
     nearest_indices,
     quantize,
-    straight_through,
 )
 
 __version__ = "0.1.0"

@@ -7,13 +7,14 @@ over learned per-codebook keys ranks the candidates, and a hard
 Gumbel-Softmax draw picks one per row while keeping the soft scores in
 the gradient path. The combination is a batched matrix product of the
 one-hot scores with the stacked candidate outputs, so the forward pass
-reproduces the selected candidate exactly.
+reproduces the selected candidate exactly. ``adaptive_forward`` returns
+the same ``QuantResult`` as a fixed layer, plus the selection counts.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -31,17 +32,14 @@ from .tensor import (
 )
 from .tensor import straight_through as _straight_through
 from .tensor import affine
-from .vq import CodebookSpec, QuantizerLayer, QuantizeOutput, quantize
+from .vq import CodebookSpec, QuantizerLayer, QuantResult, quantize
 
 __all__ = [
     "CodebookPool",
-    "SelectionRecord",
-    "AdaptiveForward",
     "enumerate_structures",
     "attention_logits",
     "gumbel_softmax",
     "temperature",
-    "adaptive_quantize",
     "adaptive_forward",
     "usage_histogram",
 ]
@@ -49,23 +47,14 @@ __all__ = [
 
 def enumerate_structures(w: int) -> list[CodebookSpec]:
     """All power-of-two splits [n, d] with n * d = w and n > d, ascending n."""
-    if w < 1 or (w & (w - 1)) != 0:
-        raise ConfigError(f"capacity must be a power of two, got {w}")
+    if w < 2 or (w & (w - 1)) != 0:
+        raise ConfigError(f"capacity must be a power of two of at least 2, got {w}")
     specs = []
     d = 1
     while d * d < w:
         specs.append(CodebookSpec(w // d, d))
         d *= 2
     return sorted(specs, key=lambda s: s.n)
-
-
-@dataclass
-class SelectionRecord:
-    """Hard selection counts for one training step."""
-
-    step: int
-    counts: np.ndarray  # length m, selections per codebook
-    temperature: float
 
 
 class CodebookPool:
@@ -146,10 +135,6 @@ class CodebookPool:
     def num_hiddens(self) -> int:
         return self.keys.data.shape[1]
 
-    @property
-    def specs(self) -> list[CodebookSpec]:
-        return [q.spec for q in self.quantizers]
-
     def parameters(self, prefix: str = "pool.") -> dict:
         params = {f"{prefix}keys": self.keys, f"{prefix}values": self.values}
         for h in range(self.num_heads):
@@ -189,10 +174,7 @@ def attention_logits(q: Tensor, pool: CodebookPool) -> Tensor:
             vh = matmul(pool.values, pool.wv[h])
             per_head_mixed.append(matmul(softmax(scores), vh))  # T x head_dim
     if pool.scores_qk_only:
-        total = per_head_scores[0]
-        for scores in per_head_scores[1:]:
-            total = add(total, scores)
-        return mul_scalar(total, 1.0 / pool.num_heads)
+        return mul_scalar(reduce(add, per_head_scores), 1.0 / pool.num_heads)
     mixed = per_head_mixed[0] if len(per_head_mixed) == 1 else concat(per_head_mixed, axis=1)
     return affine(mixed, pool.w_out, pool.b_out)
 
@@ -239,25 +221,14 @@ def temperature(iterations: int, batch_index: int, mode: str) -> float:
     return float(iterations - batch_index) + 1.0
 
 
-@dataclass
-class AdaptiveForward:
-    """Everything produced by one adaptive quantization pass."""
-
-    z_q: Tensor                      # T x H combined output
-    extra_loss: Tensor               # mean of the m per-codebook vq losses
-    record: SelectionRecord
-    outputs: list[QuantizeOutput] = field(default_factory=list)
-    projected: list[np.ndarray] = field(default_factory=list)  # per-codebook T x D_i rows
-
-
 def adaptive_forward(z_e: Tensor, pool: CodebookPool, tau: float,
                      alpha: float = 0.25, beta: float = 1.0,
                      rng: np.random.Generator | None = None,
-                     hard: bool = True, step: int = 0) -> AdaptiveForward:
+                     hard: bool = True) -> QuantResult:
     """Quantize rows through every codebook and combine by learned selection.
 
-    Exposes the per-codebook outputs and projected rows so training can
-    apply EMA updates; ``adaptive_quantize`` is the plain interface.
+    The loss is the mean of the m per-codebook vq losses; ``counts``
+    holds the hard selections per codebook.
     """
     if pool.m == 0:
         raise ConfigError("cannot quantize with an empty codebook pool")
@@ -265,56 +236,37 @@ def adaptive_forward(z_e: Tensor, pool: CodebookPool, tau: float,
         raise DimensionError(f"adaptive quantization expects T x H rows, got {z_e.data.shape}")
     t_rows = z_e.data.shape[0]
     candidates = []
-    outputs = []
-    projected = []
+    assignments = []
     losses = []
     for layer in pool.quantizers:
         z_d = layer.project_in(z_e)
         out = quantize(z_d, layer.codebook, alpha=alpha, beta=beta)
-        back = layer.project_out(out.z_q)
-        candidates.append(reshape(back, (t_rows, 1, pool.num_hiddens)))
-        outputs.append(out)
-        projected.append(z_d.data)
+        candidates.append(reshape(layer.project_out(out.z_q), (t_rows, 1, pool.num_hiddens)))
+        assignments.append((layer.codebook, z_d.data, out.indices))
         losses.append(out.vq_loss)
     z_s = candidates[0] if pool.m == 1 else concat(candidates, axis=1)  # T x m x H
-    total = losses[0]
-    for loss in losses[1:]:
-        total = add(total, loss)
-    extra_loss = mul_scalar(total, 1.0 / pool.m)
-    logits = attention_logits(z_e, pool)
-    scores = gumbel_softmax(logits, tau, hard=hard, rng=rng)
-    chosen = scores.data.argmax(axis=1)
-    counts = np.bincount(chosen, minlength=pool.m)
+    mean_loss = mul_scalar(reduce(add, losses), 1.0 / pool.m)
+    scores = gumbel_softmax(attention_logits(z_e, pool), tau, hard=hard, rng=rng)
+    counts = np.bincount(scores.data.argmax(axis=1), minlength=pool.m)
     combined = bmm(reshape(scores, (t_rows, 1, pool.m)), z_s)
-    z_q = reshape(combined, (t_rows, pool.num_hiddens))
-    record = SelectionRecord(step=step, counts=counts, temperature=float(tau))
-    return AdaptiveForward(z_q=z_q, extra_loss=extra_loss, record=record,
-                           outputs=outputs, projected=projected)
+    return QuantResult(z_q=reshape(combined, (t_rows, pool.num_hiddens)),
+                       loss=mean_loss,
+                       assignments=assignments, counts=counts)
 
 
-def adaptive_quantize(z_e: Tensor, pool: CodebookPool, tau: float,
-                      alpha: float = 0.25, beta: float = 1.0,
-                      rng: np.random.Generator | None = None,
-                      step: int = 0):
-    """Adaptive quantization of T x H rows; returns (z_q, extra_loss, record)."""
-    result = adaptive_forward(z_e, pool, tau, alpha=alpha, beta=beta, rng=rng,
-                              hard=True, step=step)
-    return result.z_q, result.extra_loss, result.record
+def usage_histogram(counts, window: int) -> list[np.ndarray]:
+    """Normalized selection frequencies over consecutive windows of steps.
 
-
-def usage_histogram(records, window: int) -> list[np.ndarray]:
-    """Normalized selection frequencies over consecutive windows of records."""
+    ``counts`` holds one vector of selections per codebook for each step.
+    """
     if window < 1:
         raise ContractError(f"window must be at least 1, got {window}")
-    records = list(records)
-    if not records:
-        return []
+    counts = [np.asarray(c, dtype=np.float64) for c in counts]
     out = []
-    for start in range(0, len(records), window):
-        chunk = records[start : start + window]
-        counts = np.sum([np.asarray(r.counts, dtype=np.float64) for r in chunk], axis=0)
-        total = counts.sum()
+    for start in range(0, len(counts), window):
+        summed = np.sum(counts[start : start + window], axis=0)
+        total = summed.sum()
         if total <= 0:
-            raise ContractError("selection records contain no selections")
-        out.append(counts / total)
+            raise ContractError("selection counts contain no selections")
+        out.append(summed / total)
     return out

@@ -78,8 +78,8 @@ def gradient_gap(x, state: TrainState, tau: float = 1.0, target=None) -> float:
     g_plain = leaf_plain.grad.copy()
 
     leaf_quant = Tensor(z_e.data.copy(), requires_grad=True)
-    rows, _, _ = quantizer_output(leaf_quant, state, tau=tau, rng=None)
-    backward(mse(target, decode(rows, state)))
+    q = quantizer_output(leaf_quant, state, tau=tau, rng=None)
+    backward(mse(target, decode(leaf_quant if q is None else q.z_q, state)))
     g_quant = leaf_quant.grad.copy()
 
     state.zero_grads()

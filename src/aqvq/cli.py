@@ -3,6 +3,8 @@
 Every run writes its fully resolved configuration next to its outputs;
 rerunning from that file reproduces the results bit for bit. The
 ``AQVQ_SEED`` environment variable overrides the configured seed.
+``adaptive`` is ``train`` with the quantizer set to an adaptive pool of
+the given capacity.
 
 Exit codes: 0 success, 1 configuration problem, 2 runtime or numeric
 failure.
@@ -14,12 +16,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import fit_analytic, gradient_gap
+from .analysis import fit_analytic, gradient_gap, optimal_n
 from .data import DatasetSource, make_dataset
 from .errors import (
     ConfigError,
@@ -29,6 +28,7 @@ from .errors import (
     FitError,
     FormatError,
     NumericError,
+    check_config,
 )
 from .experiments import AblationGrid, run_ablation, run_fixed_sweep, train_run
 from .model import ModelConfig
@@ -39,6 +39,8 @@ from .persist import (
     load_checkpoint,
     resolve_run_config,
     save_checkpoint,
+    write_csv,
+    write_json,
 )
 
 __all__ = ["cli_main", "main"]
@@ -57,40 +59,46 @@ def _read_json(path: str, kind: str):
         raise ConfigError(f"{p}: malformed JSON at line {err.lineno}: {err.msg}") from err
 
 
-def _load_run_config(path: str | None) -> dict:
-    """Read and resolve a run config file; defaults when no path is given."""
-    if path is None:
-        return resolve_run_config({})
-    return resolve_run_config(_read_json(path, "config file"))
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _apply_seed_override(resolved: dict) -> dict:
+def _read_sweep_pairs(path: str) -> list:
+    """(n, final_val_recon_sum) pairs of a sweep report; failed rows are skipped."""
+    rows = _read_json(path, "sweep report")
+    if not isinstance(rows, list) or not all(
+            isinstance(r, dict) and _is_number(r.get("n"))
+            and (r.get("final_val_recon_sum") is None or _is_number(r["final_val_recon_sum"]))
+            for r in rows):
+        raise ConfigError(f"sweep report {path} must be a list of objects with a numeric "
+                          "\"n\" and a numeric or null \"final_val_recon_sum\"")
+    return [(r["n"], r["final_val_recon_sum"]) for r in rows
+            if r.get("final_val_recon_sum") is not None]
+
+
+def _prepare(args):
+    """Resolve the run config, write it next to the outputs, and build the
+    model config and dataset. ``adaptive`` sets the quantizer to a pool of
+    ``--capacity``; ``AQVQ_SEED`` overrides both seeds."""
+    resolved = resolve_run_config({} if args.config is None
+                                  else _read_json(args.config, "config file"))
+    if args.command == "adaptive":
+        resolved["model"].update(quantizer="adaptive", capacity=args.capacity)
     seed = os.environ.get(SEED_ENV_VAR)
-    if seed is None:
-        return resolved
-    try:
-        value = int(seed)
-    except ValueError as err:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from err
-    resolved["model"]["seed"] = value
-    resolved["dataset"]["seed"] = value
-    return resolved
-
-
-def _prepare(resolved: dict, out_dir: str):
-    out = Path(out_dir)
+    if seed is not None:
+        try:
+            resolved["model"]["seed"] = resolved["dataset"]["seed"] = int(seed)
+        except ValueError as err:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from err
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "resolved_config.json", "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "resolved_config.json", resolved, sort_keys=True)
     model = ModelConfig.from_dict(resolved["model"])
-    dataset = make_dataset(DatasetSource.from_dict(resolved["dataset"]))
-    return out, model, dataset
+    return resolved, out, model, make_dataset(DatasetSource.from_dict(resolved["dataset"]))
 
 
 def _cmd_train(args) -> int:
-    resolved = _apply_seed_override(_load_run_config(args.config))
-    out, config, dataset = _prepare(resolved, args.out)
+    resolved, out, config, dataset = _prepare(args)
     train = resolved["train"]
     state = None
     steps = train["steps"]
@@ -102,105 +110,52 @@ def _cmd_train(args) -> int:
             )
         steps = train["steps"] - state.step
         print(f"resumed at step {state.step}; {max(steps, 0)} steps remaining")
-        if steps < 1:
-            save_checkpoint(state, out / "checkpoint.json",
-                            dataset=DatasetSource.from_dict(resolved["dataset"]))
-            return 0
-    state, report = train_run(config, dataset, steps,
-                              record_every=train["record_every"],
-                              gap_every=train["gap_every"],
-                              probe_size=train["probe_size"],
-                              eval_batch_size=train["eval_batch_size"],
-                              resolved_config=resolved,
-                              state=state)
+    if state is None or steps >= 1:
+        state, report = train_run(config, dataset, steps,
+                                  record_every=train["record_every"],
+                                  gap_every=train["gap_every"],
+                                  probe_size=train["probe_size"],
+                                  eval_batch_size=train["eval_batch_size"],
+                                  resolved_config=resolved,
+                                  state=state)
+        report.to_json(out / "report.json")
+        summary = report.summary
+        print(f"trained to step {state.step}; "
+              f"final validation recon sum {summary['final_val_recon_sum']:.6f} "
+              f"(config {summary['config_hash'][:12]})")
     save_checkpoint(state, out / "checkpoint.json",
                     dataset=DatasetSource.from_dict(resolved["dataset"]))
-    report.to_json(out / "report.json")
-    summary = report.summary
-    print(f"trained to step {state.step}; "
-          f"final validation recon sum {summary['final_val_recon_sum']:.6f} "
-          f"(config {summary['config_hash'][:12]})")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    resolved = _apply_seed_override(_load_run_config(args.config))
-    out, config, dataset = _prepare(resolved, args.out)
+    resolved, out, config, dataset = _prepare(args)
     train = resolved["train"]
     results = run_fixed_sweep(dataset, args.capacity, train["steps"],
                               config.seed, base=config, gap_every=train["gap_every"])
-    rows = []
-    for res in results:
-        rows.append({
-            "n": res.spec.n,
-            "d": res.spec.d,
-            "final_val_recon_sum": res.final_val_recon_sum,
-            "final_val_recon_mean": res.final_val_recon_mean,
-            "config_hash": res.config_hash,
-            "error": res.error,
-        })
-    with open(out / "sweep.json", "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
-    header = "n,d,final_val_recon_sum,final_val_recon_mean,config_hash,error"
-    lines = [header] + [
-        f"{r['n']},{r['d']},"
-        f"{'' if r['final_val_recon_sum'] is None else repr(r['final_val_recon_sum'])},"
-        f"{'' if r['final_val_recon_mean'] is None else repr(r['final_val_recon_mean'])},"
-        f"{r['config_hash']},{r['error'] or ''}"
-        for r in rows
-    ]
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ["n", "d", "final_val_recon_sum", "final_val_recon_mean", "config_hash", "error"]
+    rows = [dict(zip(columns, (r.spec.n, r.spec.d, r.final_val_recon_sum,
+                               r.final_val_recon_mean, r.config_hash, r.error)))
+            for r in results]
+    write_json(out / "sweep.json", rows)
+    write_csv(out / "sweep.csv", columns, rows)
     for r in rows:
         status = f"recon_sum={r['final_val_recon_sum']:.6f}" if r["error"] is None else f"FAILED: {r['error']}"
         print(f"[{r['n']},{r['d']}] {status}")
     return 0
 
 
-def _cmd_adaptive(args) -> int:
-    resolved = _apply_seed_override(_load_run_config(args.config))
-    out, config, dataset = _prepare(resolved, args.out)
-    train = resolved["train"]
-    config = replace(config, quantizer="adaptive", capacity=args.capacity)
-    state, report = train_run(config, dataset, train["steps"],
-                              record_every=train["record_every"],
-                              gap_every=train["gap_every"],
-                              probe_size=train["probe_size"],
-                              eval_batch_size=train["eval_batch_size"],
-                              resolved_config=resolved)
-    save_checkpoint(state, out / "checkpoint.json",
-                    dataset=DatasetSource.from_dict(resolved["dataset"]))
-    report.to_json(out / "report.json")
-    print(f"adaptive run over {len(state.codebooks)} codebooks; "
-          f"final validation recon sum {report.summary['final_val_recon_sum']:.6f}")
-    return 0
-
-
 def _cmd_ablate(args) -> int:
-    grid_spec = {} if args.grid is None else _read_json(args.grid, "grid file")
-    known = {"capacities", "use_ema", "alphas", "betas"}
-    unknown = set(grid_spec) - known
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    grid = AblationGrid(**{k: tuple(v) for k, v in grid_spec.items()})
-    resolved = _apply_seed_override(_load_run_config(args.config))
-    out, config, dataset = _prepare(resolved, args.out)
-    train = resolved["train"]
+    spec = {} if args.grid is None else _read_json(args.grid, "grid file")
+    grid = AblationGrid(**{k: tuple(v) for k, v in
+                           check_config("grid", spec, AblationGrid).items()})
+    resolved, out, config, dataset = _prepare(args)
     rows = []
     for seed in args.seeds or [config.seed]:
-        rows.extend(run_ablation(dataset, grid, train["steps"], seed, base=config))
-    with open(out / "ablation.json", "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
-    header = "cell,seed,final_val_recon_sum,final_val_recon_mean,config_hash,error"
-    lines = [header] + [
-        f"{r['cell']},{r['seed']},"
-        f"{'' if r['final_val_recon_sum'] is None else repr(r['final_val_recon_sum'])},"
-        f"{'' if r['final_val_recon_mean'] is None else repr(r['final_val_recon_mean'])},"
-        f"{r['config_hash']},{r['error'] or ''}"
-        for r in rows
-    ]
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.extend(run_ablation(dataset, grid, resolved["train"]["steps"], seed, base=config))
+    write_json(out / "ablation.json", rows)
+    write_csv(out / "ablation.csv", ["cell", "seed", "final_val_recon_sum",
+                                     "final_val_recon_mean", "config_hash", "error"], rows)
     print(f"wrote {len(rows)} ablation rows to {out / 'ablation.csv'}")
     return 0
 
@@ -219,15 +174,10 @@ def _cmd_analyze(args) -> int:
         print(f"gradient gap on {probe.shape[0]} validation samples: {gap:.10g}")
         return 0
     if args.fit_analytic is not None:
-        rows = _read_json(args.fit_analytic, "sweep report")
-        pairs = [(row["n"], row["final_val_recon_sum"]) for row in rows
-                 if row.get("final_val_recon_sum") is not None]
-        result = fit_analytic(pairs)
+        result = fit_analytic(_read_sweep_pairs(args.fit_analytic))
         model = result.model
-        best = np.sqrt(model.var_v * model.capacity_b
-                       / (model.dim_const_a * model.complexity_k))
         print(f"fitted V={model.var_v:.6g} a={model.dim_const_a:.6g} "
-              f"residual={result.residual:.6g} optimal_n={best:.6g}")
+              f"residual={result.residual:.6g} optimal_n={optimal_n(model):.6g}")
         return 0
     raise ConfigError("analyze needs --gradient-gap or --fit-analytic REPORT")
 
@@ -271,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     adaptive.add_argument("--capacity", type=int, required=True)
     adaptive.add_argument("--config", default=None)
     adaptive.add_argument("--out", required=True)
-    adaptive.set_defaults(func=_cmd_adaptive)
+    adaptive.set_defaults(func=_cmd_train, resume=None)
 
     ablate = sub.add_parser("ablate", help="run the one-knob-at-a-time ablation table")
     ablate.add_argument("--grid", default=None, help="JSON file with grid values")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_config
 
 __all__ = ["DatasetSource", "Dataset", "synth_dataset", "load_idx", "make_dataset"]
 
@@ -55,11 +55,7 @@ class DatasetSource:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSource":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown dataset config keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**check_config("dataset", d, cls))
 
 
 @dataclass

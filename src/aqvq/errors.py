@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check that turns a
+config document of the wrong shape into a ``ConfigError``."""
+
+import json
+from dataclasses import fields
 
 
 class DimensionError(ValueError):
@@ -31,3 +35,31 @@ class CheckpointError(FormatError):
 
 class FitError(ValueError):
     """A model fit could not be performed on the given data."""
+
+
+def _same_type(value, default) -> bool:
+    if default is None:  # optional file paths
+        return value is None or isinstance(value, str)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_same_type(v, default[0]) for v in value)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def check_config(name: str, raw, defaults) -> dict:
+    """Return ``raw`` once it is a JSON object whose keys are those of
+    ``defaults`` (a dict, or a dataclass's field defaults) and whose
+    values have their defaults' JSON types."""
+    if not isinstance(defaults, dict):
+        defaults = {f.name: f.default for f in fields(defaults)}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} config must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if not _same_type(value, defaults[key]):
+            raise ConfigError(f"{name} config value {key} = {value!r} does not have the "
+                              f"type of its default {json.dumps(defaults[key])}")
+    return raw

@@ -90,7 +90,6 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
     probe = dataset.val[: min(probe_size, dataset.val.shape[0])]
     report = RunReport()
     started = time.perf_counter()
-    part_key = "extra" if config.quantizer == "adaptive" else "vq"
     for index, batch in enumerate(_batches(dataset.train, config.batch_size, steps,
                                            streams["data"])):
         tau = temperature(steps, index, "training")
@@ -102,9 +101,9 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
             report.add_record(
                 step=metrics["step"],
                 recon=metrics["recon"],
-                vq=metrics[part_key],
+                vq=metrics["vq"],
                 gap=gap,
-                temperature=tau if config.quantizer == "adaptive" else None,
+                temperature=metrics.get("temperature"),
                 usage=metrics.get("counts"),
             )
     final = evaluate(dataset.val, state, batch_size=eval_batch_size)
@@ -187,11 +186,8 @@ def run_ablation(dataset: Dataset, grid: AblationGrid, budget: int, seed: int,
                  base: ModelConfig | None = None) -> list[dict]:
     """One run per ablation cell; returns table rows keyed by cell name."""
     base = _trial_config(base, quantizer="adaptive", seed=seed)
-    cells = ablation_cells(grid, base)
-    if not cells:
-        raise ConfigError("ablation grid produced no cells")
     rows = []
-    for name, config in cells:
+    for name, config in ablation_cells(grid, base):
         chash = config_hash({"model": config.to_dict()})
         row = {"cell": name, "config_hash": chash, "seed": seed,
                "final_val_recon_sum": None, "final_val_recon_mean": None,

@@ -5,7 +5,10 @@ nonlinearity each side, one latent row per sample) and a small
 convolutional path (two stride-2 3x3 convolutions down, nearest
 upsample plus convolution back up, one latent row per spatial
 position). The quantizer between them is a fixed codebook, an adaptive
-pool, or nothing at all (plain autoencoder).
+pool, or nothing at all (plain autoencoder). ``quantizer_output`` is the
+one place that tells the two quantizer kinds apart; both hand back a
+``QuantResult``, so the loss, training and evaluation code never branch
+on the kind.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .adaptive import CodebookPool, adaptive_forward, enumerate_structures
-from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError, check_config
 from .tensor import (
     Tensor,
     add,
@@ -29,7 +32,7 @@ from .tensor import (
     transpose,
     upsample2x,
 )
-from .vq import Codebook, CodebookSpec, QuantizerLayer, ema_update
+from .vq import CodebookSpec, QuantizerLayer, QuantResult, ema_update
 from .vq import quantize as vq_quantize
 
 __all__ = [
@@ -119,11 +122,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**check_config("model", d, cls))
 
 
 @dataclass
@@ -207,13 +206,11 @@ def init_state(config: ModelConfig, rng: np.random.Generator | None = None) -> T
         codebooks = [quantizer.codebook]
         params.update(quantizer.parameters(prefix="q."))
     elif config.quantizer == "adaptive":
-        specs = enumerate_structures(config.capacity)
-        if not specs:
-            raise ConfigError(f"capacity {config.capacity} admits no codebook structures")
         quantizer = CodebookPool.create(
-            specs, h, rng, num_heads=config.num_heads, gamma=config.gamma,
-            laplace_eps=config.laplace_eps, trainable_codebooks=not config.use_ema,
-            scores_qk_only=config.scores_qk_only, dtype=dtype,
+            enumerate_structures(config.capacity), h, rng, num_heads=config.num_heads,
+            gamma=config.gamma, laplace_eps=config.laplace_eps,
+            trainable_codebooks=not config.use_ema, scores_qk_only=config.scores_qk_only,
+            dtype=dtype,
         )
         codebooks = [q.codebook for q in quantizer.quantizers]
         params.update(quantizer.parameters(prefix="pool."))
@@ -274,61 +271,38 @@ def decode(z_rows: Tensor, state: TrainState) -> Tensor:
 
 
 def quantizer_output(z_rows: Tensor, state: TrainState, tau: float = 1.0,
-                     rng: np.random.Generator | None = None):
-    """Apply the configured quantizer to latent rows.
+                     rng: np.random.Generator | None = None) -> QuantResult | None:
+    """Apply the configured quantizer to latent rows; None without one.
 
-    Returns (quantized rows, quantizer loss Tensor or None, forward details).
-    With no quantizer the rows pass through and the loss is None.
+    A fixed layer is the one-codebook case of an adaptive pool: it
+    projects, quantizes and projects back, and selects nothing.
     """
-    config = state.config
-    if config.quantizer == "none":
-        return z_rows, None, None
-    if config.quantizer == "fixed":
-        layer = state.quantizer
-        z_d = layer.project_in(z_rows)
-        out = vq_quantize(z_d, layer.codebook, alpha=config.alpha, beta=config.beta)
-        rows = layer.project_out(out.z_q)
-        return rows, out.vq_loss, {"output": out, "projected": z_d.data}
-    result = adaptive_forward(z_rows, state.quantizer, tau, alpha=config.alpha,
-                              beta=config.beta, rng=rng, hard=True, step=state.step)
-    return result.z_q, result.extra_loss, result
+    quantizer, config = state.quantizer, state.config
+    if quantizer is None:
+        return None
+    if isinstance(quantizer, CodebookPool):
+        return adaptive_forward(z_rows, quantizer, tau, alpha=config.alpha,
+                                beta=config.beta, rng=rng, hard=True)
+    z_d = quantizer.project_in(z_rows)
+    out = vq_quantize(z_d, quantizer.codebook, alpha=config.alpha, beta=config.beta)
+    return QuantResult(z_q=quantizer.project_out(out.z_q), loss=out.vq_loss,
+                       assignments=[(quantizer.codebook, z_d.data, out.indices)])
 
 
-def _forward(x, state: TrainState, tau: float, rng) -> dict:
-    config = state.config
-    t = _as_input(x, config)
-    z_e = encode(t, state)
-    z_q, quant_loss, details = quantizer_output(z_e, state, tau=tau, rng=rng)
-    x_hat = decode(z_q, state)
-    recon = mse(t, x_hat)
-    loss = recon if quant_loss is None else add(recon, quant_loss)
-    part_key = "extra" if config.quantizer == "adaptive" else "vq"
-    parts = {"recon": recon.item(), part_key: 0.0 if quant_loss is None else quant_loss.item()}
-    record = details.record if config.quantizer == "adaptive" else None
-    return {
-        "loss": loss,
-        "parts": parts,
-        "record": record,
-        "details": details,
-        "z_e": z_e,
-        "x_hat": x_hat,
-        "batch": t,
-    }
-
-
-def forward_loss(x, state: TrainState, mode: str | None = None, tau: float = 1.0,
+def forward_loss(x, state: TrainState, tau: float = 1.0,
                  rng: np.random.Generator | None = None):
     """Full model loss on a batch: reconstruction plus the quantizer term.
 
-    Returns (scalar loss Tensor, parts dict, selection record or None).
-    ``mode``, when given, must agree with the configured quantizer.
+    Returns (scalar loss Tensor, parts dict with "recon" and "vq",
+    QuantResult or None). Without a quantizer "vq" is 0.
     """
-    if mode is not None and mode != state.config.quantizer:
-        raise ContractError(
-            f"requested mode {mode!r} but state is configured for {state.config.quantizer!r}"
-        )
-    bundle = _forward(x, state, tau, rng)
-    return bundle["loss"], bundle["parts"], bundle["record"]
+    t = _as_input(x, state.config)
+    z_e = encode(t, state)
+    q = quantizer_output(z_e, state, tau=tau, rng=rng)
+    recon = mse(t, decode(z_e if q is None else q.z_q, state))
+    if q is None:
+        return recon, {"recon": recon.item(), "vq": 0.0}, None
+    return add(recon, q.loss), {"recon": recon.item(), "vq": q.loss.item()}, q
 
 
 def _adam_update(state: TrainState) -> None:
@@ -348,41 +322,31 @@ def _adam_update(state: TrainState) -> None:
         p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
-def train_step(x, state: TrainState, mode: str | None = None, tau: float = 1.0,
+def train_step(x, state: TrainState, tau: float = 1.0,
                rng: np.random.Generator | None = None) -> dict:
     """One optimization step; returns the step's metrics.
 
     Adam updates every trainable parameter; with EMA enabled the
     codebooks are excluded from Adam and updated by decayed cluster
-    averages of this step's assignments instead.
+    averages of this step's assignments instead. An adaptive pool adds
+    its selection ``counts`` and ``temperature`` to the metrics.
     """
-    if mode is not None and mode != state.config.quantizer:
-        raise ContractError(
-            f"requested mode {mode!r} but state is configured for {state.config.quantizer!r}"
-        )
     config = state.config
     try:
-        bundle = _forward(x, state, tau, rng)
+        loss, parts, q = forward_loss(x, state, tau=tau, rng=rng)
         state.zero_grads()
-        backward(bundle["loss"])
+        backward(loss)
         _adam_update(state)
-        if config.use_ema and config.quantizer != "none":
-            details = bundle["details"]
-            if config.quantizer == "fixed":
-                ema_update(state.quantizer.codebook, details["projected"],
-                           details["output"].indices, paper_form=config.ema_paper_form)
-            else:
-                for layer, rows, out in zip(state.quantizer.quantizers,
-                                            details.projected, details.outputs):
-                    ema_update(layer.codebook, rows, out.indices,
-                               paper_form=config.ema_paper_form)
+        if config.use_ema and q is not None:
+            for codebook, rows, indices in q.assignments:
+                ema_update(codebook, rows, indices, paper_form=config.ema_paper_form)
     except NumericError as err:
         raise NumericError(f"step {state.step}: {err}") from err
     state.step += 1
-    metrics = {"step": state.step, "loss": bundle["loss"].item(), **bundle["parts"]}
-    if bundle["record"] is not None:
-        metrics["counts"] = bundle["record"].counts
-        metrics["temperature"] = bundle["record"].temperature
+    metrics = {"step": state.step, "loss": loss.item(), **parts}
+    if q is not None and q.counts is not None:
+        metrics["counts"] = q.counts
+        metrics["temperature"] = float(tau)
     return metrics
 
 
@@ -392,26 +356,26 @@ def evaluate(data, state: TrainState, batch_size: int = 256) -> dict:
     Selection noise is off and the selection temperature is fixed at 1.
     ``recon_loss_sum`` accumulates per-sample losses (mean over each
     sample's elements, summed over samples), so its value does not
-    depend on the evaluation batch size; the mean is per batch.
+    depend on the evaluation batch size; the mean is per batch. The
+    ``vq_loss_*`` figures sum the quantizer term the same way.
     """
     arr = np.asarray(data, dtype=state.config.dtype)
     if arr.shape[0] == 0:
         raise ContractError("cannot evaluate on an empty split")
-    part_key = "extra" if state.config.quantizer == "adaptive" else "vq"
     recon_sum = 0.0
     quant_sum = 0.0
     n_batches = 0
     for start in range(0, arr.shape[0], batch_size):
         batch = arr[start : start + batch_size]
-        bundle = _forward(batch, state, tau=1.0, rng=None)
-        recon_sum += bundle["parts"]["recon"] * batch.shape[0]
-        quant_sum += bundle["parts"][part_key] * batch.shape[0]
+        _, parts, _ = forward_loss(batch, state, tau=1.0, rng=None)
+        recon_sum += parts["recon"] * batch.shape[0]
+        quant_sum += parts["vq"] * batch.shape[0]
         n_batches += 1
     return {
         "recon_loss_sum": recon_sum,
         "recon_loss_mean": recon_sum / n_batches,
-        f"{part_key}_loss_sum": quant_sum,
-        f"{part_key}_loss_mean": quant_sum / n_batches,
+        "vq_loss_sum": quant_sum,
+        "vq_loss_mean": quant_sum / n_batches,
         "n_batches": n_batches,
         "n_samples": int(arr.shape[0]),
     }

@@ -4,6 +4,8 @@ Checkpoints are JSON documents with every float stored in C99 hex
 notation, so save/load round-trips are bit-exact and a double save is
 byte-identical. Run reports collect per-step metrics and a summary;
 they serialize to JSON and to plot-ready CSV with identical values.
+``write_csv`` and ``write_json`` are the one table writer and the one
+document writer that reports, sweeps and ablations go through.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetSource
-from .errors import CheckpointError, ConfigError, ContractError, FormatError
+from .errors import CheckpointError, ContractError, FormatError, check_config
 from .model import ModelConfig, TrainState, init_state
 
 __all__ = [
@@ -26,6 +28,8 @@ __all__ = [
     "checkpoint_config",
     "resolve_run_config",
     "config_hash",
+    "write_csv",
+    "write_json",
 ]
 
 FORMAT_VERSION = 1
@@ -62,9 +66,14 @@ def _codebook_doc(codebook) -> dict:
     }
 
 
+def _stored_params(state: TrainState) -> dict:
+    """Parameters stored under ``params``: all but the codebooks, stored on their own."""
+    embedding_ids = {id(cb.embeddings) for cb in state.codebooks}
+    return {name: p for name, p in state.params.items() if id(p) not in embedding_ids}
+
+
 def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = None) -> None:
     """Write ``state`` to ``path`` as a versioned, bit-exact JSON document."""
-    embedding_ids = {id(cb.embeddings) for cb in state.codebooks}
     doc = {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -73,18 +82,12 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
         },
         "step": state.step,
         "adam_t": state.adam_t,
-        "params": {
-            name: _encode_array(p.data)
-            for name, p in state.params.items()
-            if id(p) not in embedding_ids
-        },
+        "params": {name: _encode_array(p.data) for name, p in _stored_params(state).items()},
         "codebooks": [_codebook_doc(cb) for cb in state.codebooks],
         "adam_m": {name: _encode_array(arr) for name, arr in state.adam_m.items()},
         "adam_v": {name: _encode_array(arr) for name, arr in state.adam_v.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _read_document(path) -> dict:
@@ -96,46 +99,64 @@ def _read_document(path) -> dict:
                           f"{err.msg}") from err
 
 
+def _read_checkpoint(path) -> dict:
+    doc = _read_document(path)
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: format version {version!r} is not supported "
+                              f"(reader expects {FORMAT_VERSION})")
+    return doc
+
+
 def checkpoint_config(path) -> dict:
     """Read only the config section of a checkpoint."""
-    doc = _read_document(path)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {doc.get('format_version')!r} is not "
-            f"supported (reader expects {FORMAT_VERSION})"
-        )
-    return doc["config"]
+    return _read_checkpoint(path)["config"]
+
+
+def _load_array(path, name: str, entry: dict, like: np.ndarray) -> np.ndarray:
+    """Decode one stored array; it must have the shape and dtype of ``like``."""
+    if (entry["shape"] != list(like.shape) or np.dtype(entry["dtype"]) != like.dtype
+            or len(entry["hex"]) != like.size):
+        raise CheckpointError(f"{path}: {name} does not have the model's shape "
+                              f"{list(like.shape)} and dtype {like.dtype}")
+    return _decode_array(entry)
 
 
 def load_checkpoint(path) -> TrainState:
-    """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``."""
-    doc = _read_document(path)
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version!r} is not supported "
-            f"(reader expects {FORMAT_VERSION})"
-        )
+    """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``;
+    its names, shapes and dtypes must be those ``init_state`` builds."""
+    doc = _read_checkpoint(path)
+
+    def load_all(key: str, like: dict) -> dict:
+        names = set(doc[key]) if isinstance(doc[key], dict) else set()
+        if names != set(like):
+            raise CheckpointError(f"{path}: {key} entries {sorted(names ^ set(like))} "
+                                  "do not match the model")
+        return {name: _load_array(path, f"{key}[{name}]", entry, like[name])
+                for name, entry in doc[key].items()}
+
     try:
-        config = ModelConfig.from_dict(doc["config"]["model"])
-        state = init_state(config)
-        for name, entry in doc["params"].items():
-            if name not in state.params:
-                raise CheckpointError(f"{path}: unknown parameter {name!r}")
-            state.params[name].data = _decode_array(entry)
+        state = init_state(ModelConfig.from_dict(doc["config"]["model"]))
+        stored = {name: p.data for name, p in _stored_params(state).items()}
+        for name, arr in load_all("params", stored).items():
+            state.params[name].data = arr
         if len(doc["codebooks"]) != len(state.codebooks):
             raise CheckpointError(
                 f"{path}: {len(doc['codebooks'])} codebooks for a model with "
                 f"{len(state.codebooks)}"
             )
-        for cb, entry in zip(state.codebooks, doc["codebooks"]):
-            cb.embeddings.data = _decode_array(entry["embeddings"])
-            cb.ema_cluster_size = _decode_array(entry["ema_cluster_size"])
-            cb.ema_embed_sum = _decode_array(entry["ema_embed_sum"])
+        for i, (cb, entry) in enumerate(zip(state.codebooks, doc["codebooks"])):
+            name = f"codebooks[{i}]."
+            cb.embeddings.data = _load_array(path, name + "embeddings", entry["embeddings"],
+                                             cb.embeddings.data)
+            cb.ema_cluster_size = _load_array(path, name + "ema_cluster_size",
+                                              entry["ema_cluster_size"], cb.ema_cluster_size)
+            cb.ema_embed_sum = _load_array(path, name + "ema_embed_sum",
+                                           entry["ema_embed_sum"], cb.ema_embed_sum)
             cb.gamma = float(entry["gamma"])
             cb.laplace_eps = float(entry["laplace_eps"])
-        state.adam_m = {k: _decode_array(v) for k, v in doc["adam_m"].items()}
-        state.adam_v = {k: _decode_array(v) for k, v in doc["adam_v"].items()}
+        state.adam_m = load_all("adam_m", state.adam_m)
+        state.adam_v = load_all("adam_v", state.adam_v)
         state.adam_t = int(doc["adam_t"])
         state.step = int(doc["step"])
     except KeyError as err:
@@ -145,25 +166,42 @@ def load_checkpoint(path) -> TrainState:
 
 def resolve_run_config(raw: dict) -> dict:
     """Expand a run config to its full form with every default filled in."""
-    if not isinstance(raw, dict):
-        raise ConfigError("run config must be a JSON object")
-    unknown = set(raw) - {"model", "dataset", "train"}
-    if unknown:
-        raise ConfigError(f"unknown run config sections: {sorted(unknown)}")
+    check_config("run", raw, {"model": {}, "dataset": {}, "train": {}})
     model = ModelConfig.from_dict(raw.get("model", {}))
     dataset = DatasetSource.from_dict(raw.get("dataset", {}))
-    train = dict(TRAIN_DEFAULTS)
-    extra = set(raw.get("train", {})) - set(TRAIN_DEFAULTS)
-    if extra:
-        raise ConfigError(f"unknown train config keys: {sorted(extra)}")
-    train.update(raw.get("train", {}))
-    return {"model": model.to_dict(), "dataset": dataset.to_dict(), "train": train}
+    train = check_config("train", raw.get("train", {}), TRAIN_DEFAULTS)
+    return {"model": model.to_dict(), "dataset": dataset.to_dict(),
+            "train": {**TRAIN_DEFAULTS, **train}}
+
+
+def write_json(path, doc, **options) -> None:
+    """Write ``doc`` as indented JSON with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, **options)
+        fh.write("\n")
 
 
 def config_hash(resolved: dict) -> str:
     """Stable hash of a resolved configuration document."""
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header of ``columns``, then one line per row (a dict keyed by
+    column). Floats are written with ``repr``, so they read back bit-exact;
+    a missing or None cell is empty; anything else is written with ``str``."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return repr(float(value)) if isinstance(value, float) else str(value)
+
+    lines = [",".join(columns)] + [",".join(cell(row.get(c)) for c in columns) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+RECORD_KEYS = ("step", "recon", "vq", "gap", "temperature", "usage")
 
 
 @dataclass
@@ -195,37 +233,29 @@ class RunReport:
     def set_summary(self, **kwargs) -> None:
         self.summary.update(kwargs)
 
-    @property
-    def usage_width(self) -> int:
-        widths = {len(r["usage"]) for r in self.records if r["usage"] is not None}
-        if len(widths) > 1:
-            raise ContractError(f"inconsistent usage widths in report: {sorted(widths)}")
-        return widths.pop() if widths else 0
-
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"records": self.records, "summary": self.summary}, fh, indent=1)
-            fh.write("\n")
+        write_json(path, {"records": self.records, "summary": self.summary})
 
     @classmethod
     def from_json(cls, path) -> "RunReport":
         doc = _read_document(path)
+        if not (isinstance(doc, dict) and isinstance(doc.get("summary"), dict)
+                and isinstance(doc.get("records"), list)
+                and all(isinstance(r, dict) and set(RECORD_KEYS) <= set(r)
+                        for r in doc["records"])):
+            raise FormatError(f"{path}: not a run report (records with keys "
+                              f"{', '.join(RECORD_KEYS)}, and a summary)")
         report = cls()
         report.records = doc["records"]
         report.summary = doc["summary"]
         return report
 
     def to_csv(self, path) -> None:
-        width = self.usage_width
-        columns = ["step", "recon", "vq", "gap", "temperature"]
-        columns += [f"usage_{i}" for i in range(width)]
-        lines = [",".join(columns)]
-        for r in self.records:
-            cells = [str(r["step"]), repr(r["recon"]), repr(r["vq"])]
-            cells.append("" if r["gap"] is None else repr(r["gap"]))
-            cells.append("" if r["temperature"] is None else repr(r["temperature"]))
-            usage = r["usage"] if r["usage"] is not None else []
-            cells += [str(usage[i]) if i < len(usage) else "" for i in range(width)]
-            lines.append(",".join(cells))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        widths = {len(r["usage"]) for r in self.records if r["usage"] is not None}
+        if len(widths) > 1:
+            raise ContractError(f"inconsistent usage widths in report: {sorted(widths)}")
+        columns = list(RECORD_KEYS[:-1]) + [f"usage_{i}" for i in range(max(widths, default=0))]
+        write_csv(path, columns, [
+            {**r, **{f"usage_{i}": c for i, c in enumerate(r["usage"] or [])}}
+            for r in self.records
+        ])

@@ -9,6 +9,8 @@ vectors assigned to them.
 
 ``QuantizerLayer`` wraps a codebook together with the affine maps that
 carry hidden activations into and out of the codeword dimension.
+``QuantResult`` is what every quantizer kind hands back to the model: a
+fixed layer is the one-codebook case of an adaptive pool.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ __all__ = [
     "CodebookSpec",
     "Codebook",
     "QuantizeOutput",
+    "QuantResult",
     "QuantizerLayer",
     "nearest_indices",
     "quantize",
-    "straight_through",
     "ema_update",
 ]
 
@@ -110,6 +112,16 @@ class QuantizeOutput:
     codebook_loss: Tensor    # ||sg[z] - z_q||^2, mean over elements
     commitment_loss: Tensor  # ||z - sg[z_q]||^2, mean over elements
     vq_loss: Tensor          # beta * (codebook + alpha * commitment)
+
+
+@dataclass
+class QuantResult:
+    """What a quantizer, fixed layer or adaptive pool, returns for T x H rows."""
+
+    z_q: Tensor              # T x H quantized rows, back in the hidden width
+    loss: Tensor             # the quantizer's term of the model loss
+    assignments: list        # (codebook, T x D projected rows, indices) per codebook
+    counts: np.ndarray | None = None  # selections per codebook; None for a fixed layer
 
 
 def _rows_of(z) -> np.ndarray:
@@ -223,11 +235,6 @@ def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,
     )
 
 
-def straight_through(z_e: Tensor, z_q: Tensor) -> Tensor:
-    """Pass ``z_q`` values forward, copying the output gradient onto ``z_e``."""
-    return _straight_through(z_e, z_q)
-
-
 def ema_update(codebook: Codebook, z_rows, indices, paper_form: bool = False) -> None:
     """Move codewords toward the vectors assigned to them.
 
@@ -276,8 +283,8 @@ class QuantizerLayer:
 
     ``project_in`` carries T x H hidden rows to the codeword dimension
     D, ``project_out`` carries quantized rows back to H. Both maps are
-    learned; calling the layer runs the full project/quantize/project
-    pipeline.
+    learned; ``model.quantizer_output`` runs the full
+    project/quantize/project pipeline.
     """
 
     def __init__(self, codebook: Codebook, w_in: Tensor, b_in: Tensor,
@@ -334,9 +341,3 @@ class QuantizerLayer:
         if self.codebook.embeddings.requires_grad:
             params[f"{prefix}codebook"] = self.codebook.embeddings
         return params
-
-    def __call__(self, hidden: Tensor, alpha: float = 0.25, beta: float = 1.0):
-        """Quantize hidden rows; returns (back-projected rows, QuantizeOutput)."""
-        z_d = self.project_in(hidden)
-        out = quantize(z_d, self.codebook, alpha=alpha, beta=beta)
-        return self.project_out(out.z_q), out

@@ -186,7 +186,7 @@ def adaptive_surrogate(state, x, tau=1.0, hard=True):
         z_e = encode(t, state)
         result = adaptive_forward(z_e, pool, tau, alpha=config.alpha,
                                   beta=config.beta, rng=None, hard=False)
-        return add(mse(t, decode(result.z_q, state)), result.extra_loss)
+        return add(mse(t, decode(result.z_q, state)), result.loss)
 
     def surrogate():
         z_e = encode(t, state)

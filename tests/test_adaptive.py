@@ -6,9 +6,7 @@ import pytest
 
 from aqvq.adaptive import (
     CodebookPool,
-    SelectionRecord,
     adaptive_forward,
-    adaptive_quantize,
     attention_logits,
     enumerate_structures,
     gumbel_softmax,
@@ -165,15 +163,15 @@ class TestAdaptiveQuantize:
         pool = _pool(2, 4, rng)  # one structure: [2,1]
         assert pool.m == 1
         z = Tensor(rng.normal(size=(5, 4)))
-        z_q, extra, record = adaptive_quantize(z, pool, tau=1.0, rng=None)
+        result = adaptive_forward(z, pool, tau=1.0, rng=None)
 
         layer = pool.quantizers[0]
         z_d = layer.project_in(z)
         out = quantize(z_d, layer.codebook, alpha=0.25, beta=1.0)
         fixed_rows = layer.project_out(out.z_q)
-        np.testing.assert_array_equal(z_q.data, fixed_rows.data)
-        assert extra.item() == out.vq_loss.item()
-        assert record.counts.tolist() == [5]
+        np.testing.assert_array_equal(result.z_q.data, fixed_rows.data)
+        assert result.loss.item() == out.vq_loss.item()
+        assert result.counts.tolist() == [5]
 
     def test_one_hot_reproduces_selected_candidate(self):
         rng = RNG(8)
@@ -195,7 +193,7 @@ class TestAdaptiveQuantize:
         rng = RNG(9)
         pool = _pool(8, 4, rng)
         z = Tensor(rng.normal(size=(6, 4)))
-        _, extra, _ = adaptive_quantize(z, pool, tau=1.0, rng=None)
+        extra = adaptive_forward(z, pool, tau=1.0, rng=None).loss
         per = []
         for layer in pool.quantizers:
             out = quantize(layer.project_in(z), layer.codebook, alpha=0.25, beta=1.0)
@@ -206,10 +204,10 @@ class TestAdaptiveQuantize:
         rng = RNG(10)
         pool = _pool(8, 4, rng)
         z = Tensor(rng.normal(size=(40, 4)))
-        _, extra_a, rec_a = adaptive_quantize(z, pool, tau=1.0, rng=RNG(1))
-        _, extra_b, rec_b = adaptive_quantize(z, pool, tau=1.0, rng=RNG(2))
-        assert rec_a.counts.tolist() != rec_b.counts.tolist()  # selections differ
-        assert extra_a.item() == extra_b.item()
+        res_a = adaptive_forward(z, pool, tau=1.0, rng=RNG(1))
+        res_b = adaptive_forward(z, pool, tau=1.0, rng=RNG(2))
+        assert res_a.counts.tolist() != res_b.counts.tolist()  # selections differ
+        assert res_a.loss.item() == res_b.loss.item()
 
     def test_noise_off_equals_logit_argmax(self):
         rng = RNG(11)
@@ -221,14 +219,14 @@ class TestAdaptiveQuantize:
             scores = np.zeros((12, pool.m))
             scores[np.arange(12), logits.argmax(axis=1)] = 1.0
             sel = np.bincount(logits.argmax(axis=1), minlength=pool.m)
-            np.testing.assert_array_equal(result.record.counts, sel)
+            np.testing.assert_array_equal(result.counts, sel)
 
     def test_gradients_reach_all_quantizers_and_keys(self):
         rng = RNG(12)
         pool = _pool(8, 4, rng, trainable_codebooks=True)
         z = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        z_q, extra, _ = adaptive_quantize(z, pool, tau=1.0, rng=RNG(0))
-        backward(add(mse(z_q, Tensor(np.zeros((6, 4)))), extra))
+        result = adaptive_forward(z, pool, tau=1.0, rng=RNG(0))
+        backward(add(mse(result.z_q, Tensor(np.zeros((6, 4)))), result.loss))
         for layer in pool.quantizers:
             assert layer.w_in.grad is not None
             assert layer.codebook.embeddings.grad is not None
@@ -239,31 +237,29 @@ class TestAdaptiveQuantize:
         rng = RNG(13)
         pool = _pool(16, 4, rng)
         z = Tensor(rng.normal(size=(23, 4)))
-        _, _, record = adaptive_quantize(z, pool, tau=3.0, rng=rng)
-        assert record.counts.sum() == 23
+        result = adaptive_forward(z, pool, tau=3.0, rng=rng)
+        assert result.counts.sum() == 23
 
     def test_empty_rows_rejected(self):
         pool = _pool(8, 4, RNG(14))
         with pytest.raises(ContractError):
-            adaptive_quantize(Tensor(np.zeros((0, 4))), pool, tau=1.0)
+            adaptive_forward(Tensor(np.zeros((0, 4))), pool, tau=1.0)
 
 
 class TestUsageHistogram:
     def test_counting(self):
-        rec = SelectionRecord(step=0, counts=np.array([2, 1]), temperature=1.0)
-        np.testing.assert_allclose(usage_histogram([rec], window=1)[0], [2 / 3, 1 / 3])
+        np.testing.assert_allclose(usage_histogram([np.array([2, 1])], window=1)[0],
+                                   [2 / 3, 1 / 3])
 
     def test_degenerate_single_codebook_usage(self):
-        recs = [SelectionRecord(step=i, counts=np.array([4, 0, 0]), temperature=1.0)
-                for i in range(6)]
-        for row in usage_histogram(recs, window=2):
+        counts = [np.array([4, 0, 0]) for _ in range(6)]
+        for row in usage_histogram(counts, window=2):
             np.testing.assert_allclose(row, [1.0, 0.0, 0.0])
 
     def test_rows_normalized(self):
         rng = RNG(15)
-        recs = [SelectionRecord(step=i, counts=rng.integers(0, 9, size=4) + 1,
-                                temperature=1.0) for i in range(25)]
-        for row in usage_histogram(recs, window=7):
+        counts = [rng.integers(0, 9, size=4) + 1 for _ in range(25)]
+        for row in usage_histogram(counts, window=7):
             assert abs(row.sum() - 1.0) <= 1e-9
 
     def test_uniform_selection_frequencies(self):
@@ -271,8 +267,7 @@ class TestUsageHistogram:
         m, positions = 4, 10_000
         picks = rng.integers(0, m, size=positions)
         counts = np.bincount(picks, minlength=m)
-        rec = SelectionRecord(step=0, counts=counts, temperature=1.0)
-        freqs = usage_histogram([rec], window=1)[0]
+        freqs = usage_histogram([counts], window=1)[0]
         se = np.sqrt((1 / m) * (1 - 1 / m) / positions)
         assert np.all(np.abs(freqs - 1 / m) <= 3 * se)
 

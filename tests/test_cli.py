@@ -48,6 +48,20 @@ class TestTrain:
         second["summary"].pop("wall_time")
         assert first["summary"] == second["summary"]
 
+    def test_adaptive_rerun_from_resolved_config_is_bit_exact(self, tmp_path, run_config):
+        out1, out2 = tmp_path / "a1", tmp_path / "a2"
+        assert cli_main(["adaptive", "--capacity", "16", "--config", str(run_config),
+                         "--out", str(out1)]) == 0
+        resolved = json.loads((out1 / "resolved_config.json").read_text())
+        assert resolved["model"]["quantizer"] == "adaptive"
+        assert resolved["model"]["capacity"] == 16
+        assert cli_main(["train", "--config", str(out1 / "resolved_config.json"),
+                         "--out", str(out2)]) == 0
+        assert (out1 / "checkpoint.json").read_bytes() == (out2 / "checkpoint.json").read_bytes()
+        first = json.loads((out1 / "report.json").read_text())
+        second = json.loads((out2 / "report.json").read_text())
+        assert first["summary"]["config_hash"] == second["summary"]["config_hash"]
+
     def test_missing_config_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         rc = cli_main(["train", "--config", str(missing), "--out", str(tmp_path / "o")])
@@ -233,6 +247,38 @@ class TestAnalyzeAndReport:
 
     def test_report_without_run_dir(self, tmp_path):
         assert cli_main(["report", "--run", str(tmp_path / "missing")]) == 1
+
+
+class TestWrongShapeInput:
+    """Well-formed JSON of the wrong shape exits 1 with one error line."""
+
+    @pytest.mark.parametrize("command,document", [
+        ("ablate --grid", {"capacities": 16}),
+        ("ablate --grid", [16]),
+        ("analyze --fit-analytic", [1, 2, 3]),
+        ("analyze --fit-analytic", {"n": 2}),
+        ("report --run", []),
+        ("report --run", {"records": [{"step": 1}], "summary": {}}),
+        ("train --config", {"model": 5}),
+        ("train --config", {"model": {"input_shape": 8}}),
+        ("train --config", {"train": {"steps": "x"}}),
+        ("train --config", {"dataset": {"samples": "x"}}),
+    ], ids=["grid-int", "grid-list", "sweep-ints", "sweep-object", "report-list",
+            "report-record-keys", "model-int", "input-shape-int", "steps-str", "samples-str"])
+    def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, command, document):
+        path = tmp_path / ("report.json" if command == "report --run" else "input.json")
+        path.write_text(json.dumps(document))
+        argv = {
+            "ablate --grid": ["ablate", "--grid", str(path), "--config", str(run_config),
+                              "--out", str(tmp_path / "out")],
+            "analyze --fit-analytic": ["analyze", "--fit-analytic", str(path)],
+            "report --run": ["report", "--run", str(tmp_path)],
+            "train --config": ["train", "--config", str(path), "--out", str(tmp_path / "out")],
+        }[command]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestArgumentErrors:

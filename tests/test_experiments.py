@@ -125,11 +125,9 @@ class TestAdaptiveRun:
 
     def test_usage_histogram_rows_normalized(self, dataset):
         report = run_adaptive(dataset, 16, budget=12, seed=1, base=small_config())
-        from aqvq.adaptive import SelectionRecord, usage_histogram
-        records = [SelectionRecord(step=r["step"], counts=np.array(r["usage"]),
-                                   temperature=r["temperature"])
-                   for r in report.records]
-        for row in usage_histogram(records, window=4):
+        from aqvq.adaptive import usage_histogram
+        counts = [r["usage"] for r in report.records]
+        for row in usage_histogram(counts, window=4):
             assert abs(row.sum() - 1.0) <= 1e-9
 
 

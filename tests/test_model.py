@@ -121,11 +121,6 @@ class TestForwardLoss:
                                           tau=2.0, rng=RNG(0))
             assert abs(loss.item() - sum(parts.values())) < 1e-12
 
-    def test_mode_mismatch_rejected(self):
-        state = init_state(dense_config())
-        with pytest.raises(ContractError):
-            forward_loss(np.zeros((2, 6)), state, mode="adaptive")
-
     def test_full_fixed_loss_gradient_matches_frozen_residual_fd(self):
         cfg = dense_config(input_shape=(4,), num_hiddens=6, codebook_n=4,
                            codebook_d=2, use_ema=False, seed=2)
@@ -162,11 +157,10 @@ class TestTrainStep:
         state = init_state(cfg)
         before = {k: v.data.copy() for k, v in state.params.items()}
         x = RNG(8).normal(size=(8, 6))
-        from aqvq.model import _forward
         from aqvq.tensor import backward
-        bundle = _forward(x, state, 1.0, None)
+        loss, _, _ = forward_loss(x, state, tau=1.0, rng=None)
         state.zero_grads()
-        backward(bundle["loss"])
+        backward(loss)
         grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                  for k, p in state.params.items()}
         state.zero_grads()
@@ -206,6 +200,19 @@ class TestTrainStep:
             if first is None:
                 first = metrics["recon"]
         assert metrics["recon"] < first
+
+    def test_metric_keys_agree_across_quantizer_kinds(self):
+        x = RNG(12).normal(size=(8, 6))
+        step_keys, eval_keys = {}, {}
+        for kind in ("fixed", "adaptive", "none"):
+            state = init_state(dense_config(quantizer=kind, capacity=8))
+            step_keys[kind] = set(train_step(x, state, tau=2.0, rng=RNG(0)))
+            eval_keys[kind] = set(evaluate(x, state))
+        assert step_keys["adaptive"] - step_keys["fixed"] == {"counts", "temperature"}
+        assert step_keys["fixed"] == step_keys["none"] == step_keys["adaptive"] - {
+            "counts", "temperature"}
+        assert eval_keys["fixed"] == eval_keys["adaptive"] == eval_keys["none"]
+        assert {"vq_loss_sum", "vq_loss_mean"} <= eval_keys["fixed"]
 
     def test_step_counter_advances(self):
         state = init_state(dense_config())

@@ -123,6 +123,48 @@ class TestCheckpointErrors:
             load_checkpoint(path)
 
 
+    def test_param_shape_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        entry = doc["params"]["enc.w1"]
+        entry["shape"], entry["hex"] = [2, 2], entry["hex"][:4]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "enc.w1" in str(err.value)
+
+    def test_unknown_adam_key_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["adam_m"]["bogus"] = doc["adam_m"]["enc.w1"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "bogus" in str(err.value)
+
+    def test_parameter_table_must_be_an_object(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["params"] = list(doc["params"].values())
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "enc.w1" in str(err.value)
+
+    def test_codebook_dtype_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(quantizer="adaptive"), path)
+        doc = json.loads(path.read_text())
+        doc["codebooks"][1]["ema_embed_sum"]["dtype"] = "float32"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "codebooks[1].ema_embed_sum" in str(err.value)
+
+
 class TestResolvedConfig:
     def test_defaults_expanded(self):
         resolved = resolve_run_config({})

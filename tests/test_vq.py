@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from helpers import brute_force_nearest
 from aqvq import vq
 from aqvq.errors import ConfigError, ContractError, DimensionError
-from aqvq.tensor import Tensor, backward, finite_difference_grad, matmul, mse, relative_error
+from aqvq.tensor import (
+    Tensor,
+    backward,
+    finite_difference_grad,
+    matmul,
+    mse,
+    relative_error,
+    straight_through,
+)
 from aqvq.vq import (
     Codebook,
     CodebookSpec,
@@ -19,7 +27,6 @@ from aqvq.vq import (
     ema_update,
     nearest_indices,
     quantize,
-    straight_through,
 )
 
 RNG = np.random.default_rng
@@ -348,7 +355,8 @@ class TestProjections:
         rng = RNG(15)
         layer = QuantizerLayer.create(CodebookSpec(16, 2), num_hiddens=4, rng=rng)
         x = Tensor(rng.normal(size=(10, 4)))
-        rows, out = layer(x, alpha=0.25, beta=1.0)
+        out = quantize(layer.project_in(x), layer.codebook, alpha=0.25, beta=1.0)
+        rows = layer.project_out(out.z_q)
         assert rows.data.shape == (10, 4)
         assert out.z_q.data.shape == (10, 2)
         assert out.indices.shape == (10,)
