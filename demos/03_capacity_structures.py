@@ -9,7 +9,7 @@ import numpy as np
 from aqvq.adaptive import enumerate_structures
 from aqvq.analysis import analytic_loss, fit_analytic, optimal_n
 from aqvq.data import DatasetSource, synth_dataset
-from aqvq.experiments import run_fixed_sweep
+from aqvq.experiments import run_trials, sweep_cells
 from aqvq.model import ModelConfig
 
 # Every power-of-two split of one capacity, more codewords of lower dimension.
@@ -21,14 +21,14 @@ for w in (64, 65536):
 dataset = synth_dataset(DatasetSource(clusters=4, dims=8, samples=1024,
                                       noise_sigma=0.05, seed=11))
 base = ModelConfig(input_shape=(8,), num_hiddens=16, learning_rate=1e-4, seed=0)
-results = run_fixed_sweep(dataset, 64, budget=800, seed=0, base=base, gap_every=0)
+rows = run_trials(dataset, sweep_cells(64, base), steps=800)
 print("\nstructure  val recon sum")
-for r in results:
-    print(f"{r.spec.label:>9}  {r.final_val_recon_sum:10.4f}")
+for r in rows:
+    print(f"{r['cell']:>9}  {r['final_val_recon_sum']:10.4f}")
 
 # The capacity model says loss = V/n + a*n: dropping dimension first helps,
 # then hurts. Fit it to the sweep and report the implied optimum.
-pairs = [(r.spec.n, r.final_val_recon_sum) for r in results]
+pairs = [(r["config"].codebook_n, r["final_val_recon_sum"]) for r in rows]
 fit = fit_analytic(pairs)
 print(f"\nfitted V={fit.model.var_v:.4f} a={fit.model.dim_const_a:.6f} "
       f"(rms residual {fit.residual:.4f})")

@@ -6,9 +6,11 @@ temperature anneals.
 Run: python demos/04_adaptive_selection.py
 """
 
+from dataclasses import replace
+
 from aqvq.adaptive import usage_histogram
 from aqvq.data import DatasetSource, synth_dataset
-from aqvq.experiments import run_adaptive, run_fixed_sweep
+from aqvq.experiments import run_trials, sweep_cells, train_run
 from aqvq.model import ModelConfig
 
 dataset = synth_dataset(DatasetSource(clusters=4, dims=8, samples=1024,
@@ -16,8 +18,7 @@ dataset = synth_dataset(DatasetSource(clusters=4, dims=8, samples=1024,
 base = ModelConfig(input_shape=(8,), num_hiddens=16, learning_rate=1e-4, seed=0)
 budget = 1200
 
-report = run_adaptive(dataset, 64, budget=budget, seed=0,
-                      base=base, gap_every=0)
+_, report = train_run(replace(base, quantizer="adaptive", capacity=64), dataset, budget)
 
 counts = [r["usage"] for r in report.records]
 labels = ["[16,4]", "[32,2]", "[64,1]"]
@@ -28,11 +29,11 @@ for i, row in enumerate(usage_histogram(counts, window=200)):
     print(f"{lo:4d}-{hi:4d}  " + "  ".join(f"{v:7.3f}" for v in row))
 
 adaptive_recon = report.summary["final_val_recon_sum"]
-sweep = run_fixed_sweep(dataset, 64, budget=budget, seed=0, base=base, gap_every=0)
+sweep = run_trials(dataset, sweep_cells(64, base), budget)
 print("\nfinal validation recon sums:")
 for r in sweep:
-    print(f"  fixed {r.spec.label:>7}: {r.final_val_recon_sum:8.4f}")
+    print(f"  fixed {r['cell']:>7}: {r['final_val_recon_sum']:8.4f}")
 print(f"  adaptive      : {adaptive_recon:8.4f}")
-best = min(r.final_val_recon_sum for r in sweep)
+best = min(r["final_val_recon_sum"] for r in sweep)
 verdict = "beats" if adaptive_recon < best else "tracks"
 print(f"\nthe adaptive model {verdict} the best fixed structure at this budget")

@@ -9,7 +9,7 @@ import numpy as np
 
 from aqvq.analysis import gradient_gap
 from aqvq.data import DatasetSource, synth_dataset
-from aqvq.experiments import run_fixed_sweep
+from aqvq.experiments import run_trials, sweep_cells
 from aqvq.model import ModelConfig, encode, init_state
 
 dataset = synth_dataset(DatasetSource(clusters=4, dims=8, samples=1024,
@@ -31,19 +31,17 @@ layer.codebook.embeddings.data[:64] = layer.project_in(encode(probe, state)).dat
 print(f"gap with a lossless codebook: {gradient_gap(probe, state)}")
 
 # Track the gap during training for each structure of capacity 64.
-results = run_fixed_sweep(dataset, 64, budget=2000, seed=0, base=base,
-                          gap_every=500, record_every=1)
+# The probes are the records whose gap is set.
+rows = run_trials(dataset, sweep_cells(64, base), steps=2000, gap_every=500)
+probes = {r["cell"]: [rec for rec in r["records"] if rec["gap"] is not None] for r in rows}
 print("\ngradient gap on a fixed probe batch (probed every 500 steps)")
-header = "structure  " + "  ".join(f"step{t.step:5d}" for t in results[0].gap_trace)
+header = "structure  " + "  ".join(f"step{p['step']:5d}" for p in next(iter(probes.values())))
 print(header)
-for r in results:
-    row = "  ".join(f"{t.gap:9.4f}" for t in r.gap_trace)
-    print(f"{r.spec.label:>9}  {row}")
+for label, trace in probes.items():
+    print(f"{label:>9}  " + "  ".join(f"{p['gap']:9.4f}" for p in trace))
 print("\nquantization loss at the same probes")
-for r in results:
-    by_step = dict(r.quant_loss_trace)
-    row = "  ".join(f"{by_step[t.step]:9.5f}" for t in r.gap_trace)
-    print(f"{r.spec.label:>9}  {row}")
-final_gaps = {r.spec.label: r.gap_trace[-1].gap for r in results}
+for label, trace in probes.items():
+    print(f"{label:>9}  " + "  ".join(f"{p['vq']:9.5f}" for p in trace))
+final_gaps = {label: trace[-1]["gap"] for label, trace in probes.items()}
 print(f"\nby the end of training the one-dimensional codebook carries the "
       f"largest gap ({final_gaps['[64,1]']:.4f}) despite its low quantization loss")

@@ -20,7 +20,6 @@ from .adaptive import (
 from .analysis import (
     AnalyticModel,
     FitResult,
-    GapTrace,
     analytic_loss,
     fit_analytic,
     gradient_gap,
@@ -29,10 +28,9 @@ from .analysis import (
 from .data import Dataset, DatasetSource, load_idx, make_dataset, synth_dataset
 from .experiments import (
     AblationGrid,
-    SweepResult,
-    run_ablation,
-    run_adaptive,
-    run_fixed_sweep,
+    ablation_cells,
+    run_trials,
+    sweep_cells,
     train_run,
 )
 from .model import (

@@ -21,7 +21,6 @@ from .tensor import Tensor, backward, mse
 __all__ = [
     "AnalyticModel",
     "FitResult",
-    "GapTrace",
     "gradient_gap",
     "analytic_loss",
     "optimal_n",
@@ -42,16 +41,6 @@ class AnalyticModel:
         for name in ("var_v", "complexity_k", "dim_const_a", "capacity_b"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be strictly positive")
-
-
-@dataclass
-class GapTrace:
-    """One probe of the gradient gap and quantization loss during training."""
-
-    step: int
-    gap: float
-    quant_loss: float
-    codebook: str  # structure label or "adaptive"
 
 
 @dataclass(frozen=True)

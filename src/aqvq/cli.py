@@ -13,9 +13,9 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import fit_analytic, gradient_gap, optimal_n
@@ -30,13 +30,13 @@ from .errors import (
     NumericError,
     check_config,
 )
-from .experiments import AblationGrid, run_ablation, run_fixed_sweep, train_run
+from .experiments import AblationGrid, ablation_cells, run_trials, sweep_cells, train_run
 from .model import ModelConfig
 from .persist import (
     RunReport,
-    checkpoint_config,
-    config_hash,
     load_checkpoint,
+    read_checkpoint,
+    read_json,
     resolve_run_config,
     save_checkpoint,
     write_csv,
@@ -48,24 +48,13 @@ __all__ = ["cli_main", "main"]
 SEED_ENV_VAR = "AQVQ_SEED"
 
 
-def _read_json(path: str, kind: str):
-    """Parse a JSON input file; a missing or malformed one is a ConfigError."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{kind} not found: {p}")
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{p}: malformed JSON at line {err.lineno}: {err.msg}") from err
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _read_sweep_pairs(path: str) -> list:
     """(n, final_val_recon_sum) pairs of a sweep report; failed rows are skipped."""
-    rows = _read_json(path, "sweep report")
+    rows = read_json(path, "sweep report")
     if not isinstance(rows, list) or not all(
             isinstance(r, dict) and _is_number(r.get("n"))
             and (r.get("final_val_recon_sum") is None or _is_number(r["final_val_recon_sum"]))
@@ -81,7 +70,7 @@ def _prepare(args):
     model config and dataset. ``adaptive`` sets the quantizer to a pool of
     ``--capacity``; ``AQVQ_SEED`` overrides both seeds."""
     resolved = resolve_run_config({} if args.config is None
-                                  else _read_json(args.config, "config file"))
+                                  else read_json(args.config, "config file"))
     if args.command == "adaptive":
         resolved["model"].update(quantizer="adaptive", capacity=args.capacity)
     seed = os.environ.get(SEED_ENV_VAR)
@@ -111,13 +100,8 @@ def _cmd_train(args) -> int:
         steps = train["steps"] - state.step
         print(f"resumed at step {state.step}; {max(steps, 0)} steps remaining")
     if state is None or steps >= 1:
-        state, report = train_run(config, dataset, steps,
-                                  record_every=train["record_every"],
-                                  gap_every=train["gap_every"],
-                                  probe_size=train["probe_size"],
-                                  eval_batch_size=train["eval_batch_size"],
-                                  resolved_config=resolved,
-                                  state=state)
+        state, report = train_run(config, dataset, **{**train, "steps": steps},
+                                  resolved_config=resolved, state=state)
         report.to_json(out / "report.json")
         summary = report.summary
         print(f"trained to step {state.step}; "
@@ -128,17 +112,27 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _run_cells(args, name: str, make_cells, row, columns) -> list:
+    """Train the cells ``make_cells(model config)`` with the config's train
+    section; write ``row(trial)`` of each to <name>.json and its ``columns``
+    to <name>.csv."""
     resolved, out, config, dataset = _prepare(args)
-    train = resolved["train"]
-    results = run_fixed_sweep(dataset, args.capacity, train["steps"],
-                              config.seed, base=config, gap_every=train["gap_every"])
-    columns = ["n", "d", "final_val_recon_sum", "final_val_recon_mean", "config_hash", "error"]
-    rows = [dict(zip(columns, (r.spec.n, r.spec.d, r.final_val_recon_sum,
-                               r.final_val_recon_mean, r.config_hash, r.error)))
-            for r in results]
-    write_json(out / "sweep.json", rows)
-    write_csv(out / "sweep.csv", columns, rows)
+    rows = [row(t) for t in run_trials(dataset, make_cells(config), **resolved["train"])]
+    write_json(out / f"{name}.json", rows)
+    write_csv(out / f"{name}.csv", columns, rows)
+    return rows
+
+
+SWEEP_COLUMNS = ["n", "d", "final_val_recon_sum", "final_val_recon_mean", "config_hash", "error"]
+ABLATION_KEYS = ["cell", "config_hash", "seed", "final_val_recon_sum", "final_val_recon_mean",
+                 "wall_time", "error"]
+
+
+def _cmd_sweep(args) -> int:
+    rows = _run_cells(args, "sweep", lambda base: sweep_cells(args.capacity, base),
+                      lambda t: {"n": t["config"].codebook_n, "d": t["config"].codebook_d,
+                                 **{k: t[k] for k in SWEEP_COLUMNS[2:]}},
+                      SWEEP_COLUMNS)
     for r in rows:
         status = f"recon_sum={r['final_val_recon_sum']:.6f}" if r["error"] is None else f"FAILED: {r['error']}"
         print(f"[{r['n']},{r['d']}] {status}")
@@ -146,17 +140,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    spec = {} if args.grid is None else _read_json(args.grid, "grid file")
+    spec = {} if args.grid is None else read_json(args.grid, "grid file")
     grid = AblationGrid(**{k: tuple(v) for k, v in
                            check_config("grid", spec, AblationGrid).items()})
-    resolved, out, config, dataset = _prepare(args)
-    rows = []
-    for seed in args.seeds or [config.seed]:
-        rows.extend(run_ablation(dataset, grid, resolved["train"]["steps"], seed, base=config))
-    write_json(out / "ablation.json", rows)
-    write_csv(out / "ablation.csv", ["cell", "seed", "final_val_recon_sum",
-                                     "final_val_recon_mean", "config_hash", "error"], rows)
-    print(f"wrote {len(rows)} ablation rows to {out / 'ablation.csv'}")
+
+    def cells(base):
+        return [cell for seed in args.seeds or [base.seed]
+                for cell in ablation_cells(grid, replace(base, quantizer="adaptive", seed=seed))]
+
+    rows = _run_cells(args, "ablation", cells, lambda t: {k: t[k] for k in ABLATION_KEYS},
+                      ["cell", "seed", "final_val_recon_sum", "final_val_recon_mean",
+                       "config_hash", "error"])
+    print(f"wrote {len(rows)} ablation rows to {Path(args.out) / 'ablation.csv'}")
     return 0
 
 
@@ -164,12 +159,10 @@ def _cmd_analyze(args) -> int:
     if args.gradient_gap:
         if args.checkpoint is None:
             raise ConfigError("analyze --gradient-gap needs --checkpoint")
-        state = load_checkpoint(args.checkpoint)
-        conf = checkpoint_config(args.checkpoint)
-        if conf.get("dataset") is None:
+        state, source = read_checkpoint(args.checkpoint)
+        if source is None:
             raise ConfigError("checkpoint carries no dataset recipe to draw a probe batch from")
-        dataset = make_dataset(DatasetSource.from_dict(conf["dataset"]))
-        probe = dataset.val[:64]
+        probe = make_dataset(source).val[:64]
         gap = gradient_gap(probe, state)
         print(f"gradient gap on {probe.shape[0]} validation samples: {gap:.10g}")
         return 0

@@ -41,8 +41,9 @@ class DatasetSource:
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"validation fraction must lie in (0,1), got {self.val_fraction}")
         if self.kind != "idx_images":
-            if self.clusters < 1:
-                raise ConfigError(f"need at least one cluster, got {self.clusters}")
+            if self.clusters < 1 or self.dims < 1:
+                raise ConfigError(f"need at least one cluster and one dimension, got "
+                                  f"{self.clusters} and {self.dims}")
             if self.samples < 2:
                 raise ConfigError(f"need at least two samples to split, got {self.samples}")
             if self.noise_sigma < 0:

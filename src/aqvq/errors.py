@@ -2,6 +2,7 @@
 config document of the wrong shape into a ``ConfigError``."""
 
 import json
+import reprlib
 from dataclasses import fields
 
 
@@ -54,12 +55,12 @@ def check_config(name: str, raw, defaults) -> dict:
     if not isinstance(defaults, dict):
         defaults = {f.name: f.default for f in fields(defaults)}
     if not isinstance(raw, dict):
-        raise ConfigError(f"{name} config must be a JSON object, got {raw!r}")
+        raise ConfigError(f"{name} config must be a JSON object, got {reprlib.repr(raw)}")
     unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
     for key, value in raw.items():
         if not _same_type(value, defaults[key]):
-            raise ConfigError(f"{name} config value {key} = {value!r} does not have the "
-                              f"type of its default {json.dumps(defaults[key])}")
+            raise ConfigError(f"{name} config value {key} = {reprlib.repr(value)} does not "
+                              f"have the type of its default {json.dumps(defaults[key])}")
     return raw

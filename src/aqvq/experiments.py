@@ -1,9 +1,11 @@
-"""Experiment protocols: fixed-structure sweeps, adaptive runs, ablations.
+"""Experiment protocols: one training run, and trials over a list of cells.
 
-Every trial in a sweep trains from the same seed with the same data
-order, so structures compare under identical budgets. Numeric failures
-in one trial are recorded and the sweep continues. Each result row
-carries the hash of its fully resolved configuration.
+A multi-run experiment is a list of ``(label, ModelConfig)`` cells, from
+``sweep_cells`` or ``ablation_cells``; ``run_trials`` trains them all
+with one budget and one set of training arguments. Cells that share a
+seed share the data order. A numeric failure is recorded in its trial's
+row and the other trials still run. Each row carries the hash of its
+cell's model config alone, not of a full run config.
 """
 
 from __future__ import annotations
@@ -14,35 +16,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adaptive import enumerate_structures, temperature
-from .analysis import GapTrace, gradient_gap
+from .analysis import gradient_gap
 from .data import Dataset
 from .errors import ConfigError, NumericError
 from .model import ModelConfig, TrainState, evaluate, init_state, rng_streams, train_step
 from .persist import RunReport, config_hash
-from .vq import CodebookSpec
 
 __all__ = [
-    "SweepResult",
     "AblationGrid",
     "train_run",
-    "run_fixed_sweep",
-    "run_adaptive",
+    "sweep_cells",
     "ablation_cells",
-    "run_ablation",
+    "run_trials",
 ]
-
-
-@dataclass
-class SweepResult:
-    """Outcome of one fixed-structure trial inside a sweep."""
-
-    spec: CodebookSpec
-    final_val_recon_sum: float | None
-    final_val_recon_mean: float | None
-    gap_trace: list
-    quant_loss_trace: list
-    config_hash: str
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -82,8 +68,9 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
     an existing ``state`` continues training it (with fresh data and
     noise streams) instead of initializing a new model.
     """
-    if steps < 1:
-        raise ConfigError(f"training budget must be at least 1 step, got {steps}")
+    if steps < 1 or eval_batch_size < 1:
+        raise ConfigError(f"training budget and evaluation batch size must be at least 1, "
+                          f"got {steps} and {eval_batch_size}")
     streams = rng_streams(config.seed)
     if state is None:
         state = init_state(config, rng=streams["init"])
@@ -118,62 +105,14 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
     return state, report
 
 
-def _trial_config(base: ModelConfig | None, **overrides) -> ModelConfig:
-    base = base if base is not None else ModelConfig()
-    return replace(base, **overrides)
-
-
-def run_fixed_sweep(dataset: Dataset, w: int, budget: int, seed: int,
-                    base: ModelConfig | None = None, gap_every: int = 50,
-                    record_every: int = 1) -> list[SweepResult]:
-    """Train one fixed-codebook model per structure of capacity ``w``.
-
-    All trials share the seed, data order, and budget; per-trial numeric
-    failures are recorded in the result row and the sweep continues.
-    """
-    results = []
-    for spec in enumerate_structures(w):
-        config = _trial_config(base, quantizer="fixed", codebook_n=spec.n,
-                               codebook_d=spec.d, seed=seed)
-        chash = config_hash({"model": config.to_dict()})
-        try:
-            _, report = train_run(config, dataset, budget, record_every=record_every,
-                                  gap_every=gap_every)
-        except NumericError as err:
-            results.append(SweepResult(spec=spec, final_val_recon_sum=None,
-                                       final_val_recon_mean=None, gap_trace=[],
-                                       quant_loss_trace=[], config_hash=chash,
-                                       error=str(err)))
-            continue
-        gap_trace = [
-            GapTrace(step=r["step"], gap=r["gap"], quant_loss=r["vq"], codebook=spec.label)
-            for r in report.records if r["gap"] is not None
-        ]
-        quant_trace = [(r["step"], r["vq"]) for r in report.records]
-        results.append(SweepResult(
-            spec=spec,
-            final_val_recon_sum=report.summary["final_val_recon_sum"],
-            final_val_recon_mean=report.summary["final_val_recon_mean"],
-            gap_trace=gap_trace,
-            quant_loss_trace=quant_trace,
-            config_hash=chash,
-            error=None,
-        ))
-    return results
-
-
-def run_adaptive(dataset: Dataset, w: int, budget: int, seed: int,
-                 base: ModelConfig | None = None, gap_every: int = 50,
-                 record_every: int = 1) -> RunReport:
-    """Train the adaptive model over the full structure pool of capacity ``w``."""
-    config = _trial_config(base, quantizer="adaptive", capacity=w, seed=seed)
-    _, report = train_run(config, dataset, budget, record_every=record_every,
-                          gap_every=gap_every)
-    return report
+def sweep_cells(w: int, base: ModelConfig) -> list:
+    """(label, config) cells: one fixed-codebook model per structure of capacity ``w``."""
+    return [(spec.label, replace(base, quantizer="fixed", codebook_n=spec.n, codebook_d=spec.d))
+            for spec in enumerate_structures(w)]
 
 
 def ablation_cells(grid: AblationGrid, base: ModelConfig) -> list:
-    """(name, config) cells: the base plus one knob changed at a time."""
+    """(label, config) cells: the base plus one knob changed at a time."""
     cells = [("base", base)]
     cells += [(f"W={w}", replace(base, capacity=int(w))) for w in grid.capacities]
     cells += [(f"ema={v}", replace(base, use_ema=bool(v))) for v in grid.use_ema]
@@ -182,22 +121,25 @@ def ablation_cells(grid: AblationGrid, base: ModelConfig) -> list:
     return cells
 
 
-def run_ablation(dataset: Dataset, grid: AblationGrid, budget: int, seed: int,
-                 base: ModelConfig | None = None) -> list[dict]:
-    """One run per ablation cell; returns table rows keyed by cell name."""
-    base = _trial_config(base, quantizer="adaptive", seed=seed)
+def run_trials(dataset: Dataset, cells, steps: int, **train) -> list[dict]:
+    """One row per (label, config) cell, trained by ``train_run(config,
+    dataset, steps, **train)``: the label as ``cell``, the model config's
+    hash, seed, final validation sum and mean, wall time, ``error`` (the
+    NumericError that ended the trial, else None), the report records
+    (empty on failure) and the ``config``."""
     rows = []
-    for name, config in ablation_cells(grid, base):
-        chash = config_hash({"model": config.to_dict()})
-        row = {"cell": name, "config_hash": chash, "seed": seed,
-               "final_val_recon_sum": None, "final_val_recon_mean": None,
-               "wall_time": None, "error": None}
+    for label, config in cells:
+        row = {"cell": label, "config_hash": config_hash({"model": config.to_dict()}),
+               "seed": config.seed, "final_val_recon_sum": None,
+               "final_val_recon_mean": None, "wall_time": None, "error": None,
+               "records": [], "config": config}
         try:
-            _, report = train_run(config, dataset, budget, record_every=0, gap_every=0)
-            row["final_val_recon_sum"] = report.summary["final_val_recon_sum"]
-            row["final_val_recon_mean"] = report.summary["final_val_recon_mean"]
-            row["wall_time"] = report.summary["wall_time"]
+            _, report = train_run(config, dataset, steps, **train)
         except NumericError as err:
             row["error"] = str(err)
+        else:
+            row.update({key: report.summary[key] for key in
+                        ("final_val_recon_sum", "final_val_recon_mean", "wall_time")},
+                       records=report.records)
         rows.append(row)
     return rows

@@ -87,6 +87,8 @@ class ModelConfig:
             raise ConfigError(f"dense input shape must be (M,), got {self.input_shape}")
         if self.encoder_arch == "small_conv" and len(self.input_shape) != 3:
             raise ConfigError(f"conv input shape must be (C, H, W), got {self.input_shape}")
+        if min(self.input_shape + (self.num_hiddens, self.batch_size)) < 1:
+            raise ConfigError("input_shape, num_hiddens and batch_size must be positive")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be nonnegative")
         if not 0.0 < self.gamma < 1.0:

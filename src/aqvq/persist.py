@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetSource
-from .errors import CheckpointError, ContractError, FormatError, check_config
+from .errors import CheckpointError, ConfigError, ContractError, FormatError, check_config
 from .model import ModelConfig, TrainState, init_state
 
 __all__ = [
@@ -25,7 +25,8 @@ __all__ = [
     "RunReport",
     "save_checkpoint",
     "load_checkpoint",
-    "checkpoint_config",
+    "read_checkpoint",
+    "read_json",
     "resolve_run_config",
     "config_hash",
     "write_csv",
@@ -52,8 +53,8 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(doc: dict) -> np.ndarray:
-    values = [float.fromhex(h) for h in doc["hex"]]
-    return np.array(values, dtype=np.dtype(doc["dtype"])).reshape(doc["shape"])
+    values = np.fromiter(map(float.fromhex, doc["hex"]), dtype=np.dtype(doc["dtype"]))
+    return values.reshape(doc["shape"])
 
 
 def _codebook_doc(codebook) -> dict:
@@ -90,42 +91,50 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
     write_json(path, doc)
 
 
-def _read_document(path) -> dict:
+def read_json(path, kind: str):
+    """Parse one JSON input file: a missing ``kind`` file is a ConfigError,
+    malformed JSON a FormatError naming its line and column."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except FileNotFoundError as err:
+        raise ConfigError(f"{kind} not found: {path}") from err
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: malformed JSON at line {err.lineno} column {err.colno}: "
                           f"{err.msg}") from err
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text: {err.reason}") from err
 
 
-def _read_checkpoint(path) -> dict:
-    doc = _read_document(path)
+CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0, "codebooks": ({},)}
+CODEBOOK_FIELDS = {"embeddings": {}, "ema_cluster_size": {}, "ema_embed_sum": {},
+                   "gamma": 0.0, "laplace_eps": 0.0}
+ARRAY_FIELDS = {"shape": (0,), "dtype": "", "hex": []}
+
+
+def _load_array(path, name: str, entry, like: np.ndarray) -> np.ndarray:
+    """Decode one stored array; it must have the shape and dtype of ``like``."""
+    check_config(name, entry, ARRAY_FIELDS)
+    if (entry["shape"] != list(like.shape) or like.dtype != entry["dtype"]
+            or len(entry["hex"]) != like.size):
+        raise CheckpointError(f"{path}: {name} does not have the model's shape "
+                              f"{list(like.shape)} and dtype {like.dtype}")
+    try:
+        return _decode_array(entry)
+    except (TypeError, ValueError) as err:  # a value that is not a hex float string
+        raise CheckpointError(f"{path}: {name} holds a value that is not a hex float") from err
+
+
+def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
+    """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``,
+    with the dataset recipe saved beside it (None if there is none). Its
+    names, shapes, dtypes and EMA constants must be those ``init_state``
+    builds from its model config."""
+    doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version!r} is not supported "
                               f"(reader expects {FORMAT_VERSION})")
-    return doc
-
-
-def checkpoint_config(path) -> dict:
-    """Read only the config section of a checkpoint."""
-    return _read_checkpoint(path)["config"]
-
-
-def _load_array(path, name: str, entry: dict, like: np.ndarray) -> np.ndarray:
-    """Decode one stored array; it must have the shape and dtype of ``like``."""
-    if (entry["shape"] != list(like.shape) or np.dtype(entry["dtype"]) != like.dtype
-            or len(entry["hex"]) != like.size):
-        raise CheckpointError(f"{path}: {name} does not have the model's shape "
-                              f"{list(like.shape)} and dtype {like.dtype}")
-    return _decode_array(entry)
-
-
-def load_checkpoint(path) -> TrainState:
-    """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``;
-    its names, shapes and dtypes must be those ``init_state`` builds."""
-    doc = _read_checkpoint(path)
 
     def load_all(key: str, like: dict) -> dict:
         names = set(doc[key]) if isinstance(doc[key], dict) else set()
@@ -136,7 +145,11 @@ def load_checkpoint(path) -> TrainState:
                 for name, entry in doc[key].items()}
 
     try:
-        state = init_state(ModelConfig.from_dict(doc["config"]["model"]))
+        check_config("checkpoint", {k: doc[k] for k in CHECKPOINT_FIELDS}, CHECKPOINT_FIELDS)
+        config = doc["config"]
+        state = init_state(ModelConfig.from_dict(config["model"]))
+        dataset = (None if config.get("dataset") is None
+                   else DatasetSource.from_dict(config["dataset"]))
         stored = {name: p.data for name, p in _stored_params(state).items()}
         for name, arr in load_all("params", stored).items():
             state.params[name].data = arr
@@ -146,22 +159,31 @@ def load_checkpoint(path) -> TrainState:
                 f"{len(state.codebooks)}"
             )
         for i, (cb, entry) in enumerate(zip(state.codebooks, doc["codebooks"])):
-            name = f"codebooks[{i}]."
-            cb.embeddings.data = _load_array(path, name + "embeddings", entry["embeddings"],
+            name = f"codebooks[{i}]"
+            check_config(name, entry, CODEBOOK_FIELDS)
+            if (entry["gamma"], entry["laplace_eps"]) != (cb.gamma, cb.laplace_eps):
+                raise CheckpointError(f"{path}: {name} gamma and laplace_eps are not the "
+                                      f"model's {cb.gamma!r} and {cb.laplace_eps!r}")
+            cb.embeddings.data = _load_array(path, name + ".embeddings", entry["embeddings"],
                                              cb.embeddings.data)
-            cb.ema_cluster_size = _load_array(path, name + "ema_cluster_size",
+            cb.ema_cluster_size = _load_array(path, name + ".ema_cluster_size",
                                               entry["ema_cluster_size"], cb.ema_cluster_size)
-            cb.ema_embed_sum = _load_array(path, name + "ema_embed_sum",
+            cb.ema_embed_sum = _load_array(path, name + ".ema_embed_sum",
                                            entry["ema_embed_sum"], cb.ema_embed_sum)
-            cb.gamma = float(entry["gamma"])
-            cb.laplace_eps = float(entry["laplace_eps"])
         state.adam_m = load_all("adam_m", state.adam_m)
         state.adam_v = load_all("adam_v", state.adam_v)
-        state.adam_t = int(doc["adam_t"])
-        state.step = int(doc["step"])
+        state.adam_t = doc["adam_t"]
+        state.step = doc["step"]
     except KeyError as err:
         raise CheckpointError(f"{path}: missing checkpoint field {err}") from err
-    return state
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: {err}") from err
+    return state, dataset
+
+
+def load_checkpoint(path) -> TrainState:
+    """The TrainState of ``read_checkpoint(path)``."""
+    return read_checkpoint(path)[0]
 
 
 def resolve_run_config(raw: dict) -> dict:
@@ -238,13 +260,15 @@ class RunReport:
 
     @classmethod
     def from_json(cls, path) -> "RunReport":
-        doc = _read_document(path)
+        doc = read_json(path, "run report")
         if not (isinstance(doc, dict) and isinstance(doc.get("summary"), dict)
                 and isinstance(doc.get("records"), list)
                 and all(isinstance(r, dict) and set(RECORD_KEYS) <= set(r)
+                        and isinstance(r["usage"], (list, type(None)))
                         for r in doc["records"])):
             raise FormatError(f"{path}: not a run report (records with keys "
-                              f"{', '.join(RECORD_KEYS)}, and a summary)")
+                              f"{', '.join(RECORD_KEYS)}, usage a list or null, "
+                              "and a summary)")
         report = cls()
         report.records = doc["records"]
         report.summary = doc["summary"]

@@ -298,21 +298,14 @@ class QuantizerLayer:
     @classmethod
     def create(cls, spec: CodebookSpec, num_hiddens: int, rng: np.random.Generator,
                gamma: float = 0.99, laplace_eps: float = 1e-5,
-               trainable_codebook: bool = False, identity_init: bool = False,
-               dtype=np.float64) -> "QuantizerLayer":
+               trainable_codebook: bool = False, dtype=np.float64) -> "QuantizerLayer":
         codebook = Codebook.random(spec.n, spec.d, rng, gamma=gamma,
                                    laplace_eps=laplace_eps, trainable=trainable_codebook,
                                    dtype=dtype)
-        if identity_init:
-            if spec.d != num_hiddens:
-                raise ConfigError("identity projections need matching widths")
-            w_in = np.eye(num_hiddens, dtype=dtype)
-            w_out = np.eye(num_hiddens, dtype=dtype)
-        else:
-            w_in = rng.normal(0.0, 1.0 / np.sqrt(num_hiddens),
-                              size=(num_hiddens, spec.d)).astype(dtype)
-            w_out = rng.normal(0.0, 1.0 / np.sqrt(spec.d),
-                               size=(spec.d, num_hiddens)).astype(dtype)
+        w_in = rng.normal(0.0, 1.0 / np.sqrt(num_hiddens),
+                          size=(num_hiddens, spec.d)).astype(dtype)
+        w_out = rng.normal(0.0, 1.0 / np.sqrt(spec.d),
+                           size=(spec.d, num_hiddens)).astype(dtype)
         return cls(
             codebook=codebook,
             w_in=Tensor(w_in, requires_grad=True),

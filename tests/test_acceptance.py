@@ -20,7 +20,7 @@ from helpers import (
 from aqvq.adaptive import gumbel_softmax, temperature
 from aqvq.analysis import AnalyticModel, analytic_loss, fit_analytic, gradient_gap, optimal_n
 from aqvq.data import DatasetSource, synth_dataset
-from aqvq.experiments import run_adaptive, run_fixed_sweep, train_run
+from aqvq.experiments import run_trials, sweep_cells, train_run
 from aqvq.model import ModelConfig, encode, evaluate, init_state, train_step
 from aqvq.persist import load_checkpoint, save_checkpoint
 from aqvq.tensor import (
@@ -62,9 +62,8 @@ def base_config():
 @pytest.fixture(scope="module")
 def sweep(cluster4, base_config):
     started = time.perf_counter()
-    results = run_fixed_sweep(cluster4, CAPACITY, BUDGET, SWEEP_SEED,
-                              base=base_config, gap_every=0, record_every=0)
-    return results, time.perf_counter() - started
+    rows = run_trials(cluster4, sweep_cells(CAPACITY, base_config), BUDGET, record_every=0)
+    return rows, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +71,8 @@ def adaptive_runs(cluster4, base_config):
     started = time.perf_counter()
     values = []
     for seed in ADAPTIVE_SEEDS:
-        report = run_adaptive(cluster4, CAPACITY, BUDGET, seed,
-                              base=replace(base_config, quantizer="adaptive",
-                                           capacity=CAPACITY),
-                              gap_every=0, record_every=0)
+        config = replace(base_config, quantizer="adaptive", capacity=CAPACITY, seed=seed)
+        _, report = train_run(config, cluster4, BUDGET, record_every=0)
         values.append(report.summary["final_val_recon_sum"])
     return values, time.perf_counter() - started
 
@@ -325,7 +322,8 @@ class TestCriterion8SweepTrend:
     def test_sweep_trend(self, sweep):
         results, elapsed = sweep
         assert elapsed < 300.0
-        by_spec = {(r.spec.n, r.spec.d): r.final_val_recon_sum for r in results}
+        by_spec = {(r["config"].codebook_n, r["config"].codebook_d): r["final_val_recon_sum"]
+                   for r in results}
         assert set(by_spec) == {(16, 4), (32, 2), (64, 1)}
         assert all(v is not None for v in by_spec.values())
         extreme = by_spec[(64, 1)]
@@ -340,7 +338,7 @@ class TestCriterion9AdaptiveAdvantage:
         results, sweep_time = sweep
         values, adaptive_time = adaptive_runs
         assert sweep_time + adaptive_time < 600.0
-        best_fixed = min(r.final_val_recon_sum for r in results)
+        best_fixed = min(r["final_val_recon_sum"] for r in results)
         median_adaptive = float(np.median(values))
         assert median_adaptive <= 1.05 * best_fixed
         report_pass(9, f"adaptive median {median_adaptive:.3f} <= 1.05 x best fixed "

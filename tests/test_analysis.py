@@ -6,7 +6,6 @@ import pytest
 
 from aqvq.analysis import (
     AnalyticModel,
-    GapTrace,
     analytic_loss,
     fit_analytic,
     gradient_gap,
@@ -186,9 +185,3 @@ class TestFitAnalytic:
     def test_positive_sizes_required(self):
         with pytest.raises(DomainError):
             fit_analytic([(-1.0, 5.0), (2.0, 4.0), (4.0, 5.0)])
-
-
-class TestGapTrace:
-    def test_fields(self):
-        trace = GapTrace(step=10, gap=0.5, quant_loss=0.01, codebook="[16,4]")
-        assert trace.step == 10 and trace.codebook == "[16,4]"

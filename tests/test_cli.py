@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aqvq.cli import cli_main
 
@@ -93,6 +95,13 @@ class TestTrain:
                        "--resume", str(out1 / "checkpoint.json")])
         assert rc == 1
 
+    def test_config_that_is_not_text(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_seed_env_override(self, tmp_path, run_config, monkeypatch):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("AQVQ_SEED", "77")
@@ -143,6 +152,33 @@ class TestSweepAndAdaptive:
         rc = cli_main(["sweep", "--capacity", "12", "--config", str(run_config),
                        "--out", str(tmp_path / "s")])
         assert rc == 1
+
+
+class TestTrainSection:
+    def test_sweep_and_ablate_run_trials_like_train(self, tmp_path, run_config):
+        raw = json.loads(run_config.read_text())
+        raw["train"] = {"steps": 12, "record_every": 3, "gap_every": 6, "probe_size": 5,
+                        "eval_batch_size": 7}
+        means = {}
+        for quantizer in ("fixed", "adaptive"):
+            raw["model"]["quantizer"] = quantizer
+            config = tmp_path / f"{quantizer}.json"
+            config.write_text(json.dumps(raw))
+            out = tmp_path / quantizer
+            assert cli_main(["train", "--config", str(config), "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            means[quantizer] = report["summary"]["final_val_recon_mean"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"capacities": [], "use_ema": [], "alphas": [],
+                                    "betas": []}))
+        assert cli_main(["sweep", "--capacity", "16", "--config", str(config),
+                         "--out", str(tmp_path / "sweep")]) == 0
+        assert cli_main(["ablate", "--grid", str(grid), "--config", str(config),
+                         "--out", str(tmp_path / "ablate")]) == 0
+        sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+        ablation = json.loads((tmp_path / "ablate" / "ablation.json").read_text())
+        assert [r["final_val_recon_mean"] for r in sweep if r["n"] == 8] == [means["fixed"]]
+        assert [r["final_val_recon_mean"] for r in ablation] == [means["adaptive"]]
 
 
 class TestAblate:
@@ -292,3 +328,148 @@ class TestArgumentErrors:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "aqvq" in capsys.readouterr().out
+
+
+def _set(path, value):
+    """Edit for a checkpoint document: set the entry at ``path`` (keys and
+    indices; the empty string stands for the first key) to ``value``."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[next(iter(node)) if key == "" else key]
+        node[next(iter(node)) if path[-1] == "" else path[-1]] = value
+    return edit
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint field of the wrong type or value exits 1 with one error line."""
+
+    @pytest.mark.parametrize("edit", [
+        _set(["codebooks", 0, "gamma"], "x"),
+        _set(["codebooks", 0, "laplace_eps"], [1]),
+        _set(["step"], "x"),
+        _set(["codebooks"], 5),
+        _set(["codebooks", 0], "x"),
+        _set(["params", "", "hex", 0], 5),
+        _set(["config"], 7),
+        _set(["adam_t"], 1.5),
+    ], ids=["gamma-str", "laplace-eps-list", "step-str", "codebooks-int", "codebook-str",
+            "hex-int", "config-int", "adam-t-float"])
+    def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, edit):
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
+        doc = json.loads((out / "checkpoint.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["analyze", "--checkpoint", str(path), "--gradient-gap"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_stored_gamma_must_match_the_config(self, tmp_path, run_config, capsys):
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["codebooks"][0]["gamma"] = 0.5
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["analyze", "--checkpoint", str(path), "--gradient-gap"]) == 1
+        assert "gamma" in capsys.readouterr().err
+
+    def test_checkpoint_is_read_once(self, tmp_path, run_config, monkeypatch):
+        from aqvq import persist
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
+        reads = []
+        real = persist.read_json
+        monkeypatch.setattr(persist, "read_json", lambda *a: reads.append(a) or real(*a))
+        assert cli_main(["analyze", "--checkpoint", str(out / "checkpoint.json"),
+                         "--gradient-gap"]) == 0
+        assert len(reads) == 1
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON document."""
+    keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+def _mutate(data, doc):
+    """Draw one edit of ``doc``: a whole new document, or one value replaced,
+    deleted, or given an unknown sibling key."""
+    slots = list(_slots(doc))
+    pick = data.draw(st.integers(0, len(slots)))
+    if pick == len(slots):
+        return data.draw(JSON)
+    node, key = slots[pick]
+    action = data.draw(st.sampled_from(["set", "delete", "add"]))
+    if action == "set":
+        node[key] = data.draw(JSON)
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node, dict):
+        node[data.draw(st.text(max_size=3)) + "?"] = data.draw(JSON)
+    return doc
+
+
+class TestFuzzedInput:
+    """Any edit of a config, grid, sweep report, run report or checkpoint
+    ends in an exit code with at most one line on stderr, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        config = {"model": {"input_shape": [4], "num_hiddens": 4, "codebook_n": 4,
+                            "codebook_d": 2, "capacity": 8, "batch_size": 8},
+                  "dataset": {"clusters": 2, "dims": 4, "samples": 32},
+                  "train": {"steps": 2, "gap_every": 1}}
+        (root / "config.json").write_text(json.dumps(config))
+        assert cli_main(["train", "--config", str(root / "config.json"),
+                         "--out", str(root / "run")]) == 0
+        return root, {
+            "config": json.loads((root / "run" / "resolved_config.json").read_text()),
+            "grid": {"capacities": [8], "use_ema": [False], "alphas": [0.5], "betas": [2.0]},
+            "sweep": [{"n": n, "d": 8 // n, "final_val_recon_sum": 1.0 / n + n}
+                      for n in (2, 4, 8)],
+            "report": json.loads((root / "run" / "report.json").read_text()),
+            "checkpoint": json.loads((root / "run" / "checkpoint.json").read_text()),
+        }
+
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_no_traceback(self, documents, data, capsys):
+        root, originals = documents
+        kind = data.draw(st.sampled_from(sorted(originals)))
+        doc = _mutate(data, json.loads(json.dumps(originals[kind])))
+        path = root / ("report.json" if kind == "report" else f"input_{kind}.json")
+        path.write_text(json.dumps(doc))
+        out = str(root / "out")
+        argv = {
+            "config": ["train", "--config", str(path), "--out", out],
+            "grid": ["ablate", "--grid", str(path), "--config", str(root / "config.json"),
+                     "--out", out],
+            "sweep": ["analyze", "--fit-analytic", str(path)],
+            "report": ["report", "--run", str(root)],
+            "checkpoint": ["analyze", "--checkpoint", str(path), "--gradient-gap"],
+        }[kind]
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            rc = cli_main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        if rc != 0:
+            assert len(err.strip().splitlines()) == 1, err

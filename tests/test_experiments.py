@@ -1,5 +1,8 @@
 """Experiment harness: budgets, data-order fairness, reproducibility,
-sweep/adaptive/ablation protocols, and failure recording."""
+sweep and ablation cells run as trials, and failure recording."""
+
+import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +13,13 @@ from aqvq.experiments import (
     AblationGrid,
     _batches,
     ablation_cells,
-    run_ablation,
-    run_adaptive,
-    run_fixed_sweep,
+    run_trials,
+    sweep_cells,
     train_run,
 )
 from aqvq.model import ModelConfig
+from aqvq.persist import TRAIN_DEFAULTS
+from aqvq.vq import CodebookSpec
 
 RNG = np.random.default_rng
 
@@ -82,49 +86,58 @@ class TestTrainRun:
         assert rec["usage"] is not None and sum(rec["usage"]) > 0
         assert rec["temperature"] == 7.0  # countdown start: (steps - 0) + 1 at step index 0
 
+    def test_train_section_keys_are_keyword_arguments(self):
+        # the CLI passes a config's train section to train_run as keywords
+        assert set(TRAIN_DEFAULTS) <= set(inspect.signature(train_run).parameters)
+
+
+def structure(row):
+    return row["config"].codebook_n, row["config"].codebook_d
+
 
 class TestFixedSweep:
     def test_one_trial_per_structure(self, dataset):
-        results = run_fixed_sweep(dataset, 16, budget=10, seed=0,
-                                  base=small_config(), gap_every=5)
-        assert [(r.spec.n, r.spec.d) for r in results] == [(8, 2), (16, 1)]
-        for r in results:
-            assert r.error is None
-            assert r.final_val_recon_sum is not None
-            assert len(r.gap_trace) == 2
-            assert len(r.quant_loss_trace) == 10
-            assert r.gap_trace[0].codebook == r.spec.label
+        rows = run_trials(dataset, sweep_cells(16, small_config()), 10, gap_every=5)
+        assert [structure(r) for r in rows] == [(8, 2), (16, 1)]
+        for r in rows:
+            assert r["error"] is None
+            assert r["final_val_recon_sum"] is not None
+            assert len([rec for rec in r["records"] if rec["gap"] is not None]) == 2
+            assert len(r["records"]) == 10
+            assert r["cell"] == CodebookSpec(*structure(r)).label
 
     def test_degenerate_capacity_single_trial(self, dataset):
-        results = run_fixed_sweep(dataset, 2, budget=5, seed=0, base=small_config())
-        assert len(results) == 1 and results[0].spec.n == 2
+        rows = run_trials(dataset, sweep_cells(2, small_config()), 5)
+        assert len(rows) == 1 and structure(rows[0])[0] == 2
 
     def test_distinct_config_hashes(self, dataset):
-        results = run_fixed_sweep(dataset, 16, budget=5, seed=0, base=small_config())
-        hashes = {r.config_hash for r in results}
-        assert len(hashes) == len(results)
+        rows = run_trials(dataset, sweep_cells(16, small_config()), 5)
+        hashes = {r["config_hash"] for r in rows}
+        assert len(hashes) == len(rows)
 
     def test_numeric_failure_recorded_and_sweep_continues(self, dataset):
         exploding = small_config(learning_rate=1e30)
         with np.errstate(over="ignore", invalid="ignore"):
-            results = run_fixed_sweep(dataset, 16, budget=20, seed=0, base=exploding)
-        assert len(results) == 2
-        assert all(r.error is not None for r in results)
-        assert all(r.final_val_recon_sum is None for r in results)
+            rows = run_trials(dataset, sweep_cells(16, exploding), 20)
+        assert len(rows) == 2
+        assert all(r["error"] is not None for r in rows)
+        assert all(r["final_val_recon_sum"] is None for r in rows)
+        assert all(r["records"] == [] for r in rows)
 
 
 class TestAdaptiveRun:
     def test_single_structure_pool_matches_fixed(self, dataset):
-        # capacity 2 admits only [2,1]; the adaptive wrapper must track the
+        # capacity 2 admits only [2,1]; the adaptive model must track the
         # fixed model's metrics exactly (selection is forced, scores are 1)
-        base = small_config(codebook_n=2, codebook_d=1)
-        fixed = run_fixed_sweep(dataset, 2, budget=25, seed=3, base=base)[0]
-        report = run_adaptive(dataset, 2, budget=25, seed=3, base=base)
+        base = small_config(codebook_n=2, codebook_d=1, seed=3)
+        fixed = run_trials(dataset, sweep_cells(2, base), 25)[0]
+        _, report = train_run(replace(base, quantizer="adaptive", capacity=2), dataset, 25)
         assert report.summary["final_val_recon_sum"] == pytest.approx(
-            fixed.final_val_recon_sum, abs=1e-12)
+            fixed["final_val_recon_sum"], abs=1e-12)
 
     def test_usage_histogram_rows_normalized(self, dataset):
-        report = run_adaptive(dataset, 16, budget=12, seed=1, base=small_config())
+        config = small_config(quantizer="adaptive", capacity=16, seed=1)
+        _, report = train_run(config, dataset, 12)
         from aqvq.adaptive import usage_histogram
         counts = [r["usage"] for r in report.records]
         for row in usage_histogram(counts, window=4):
@@ -146,7 +159,7 @@ class TestAblation:
     def test_base_alpha_cell_bit_identical_to_base(self, dataset):
         base = small_config(quantizer="adaptive")
         grid = AblationGrid(capacities=(), use_ema=(), alphas=(0.25,), betas=())
-        rows = run_ablation(dataset, grid, budget=10, seed=4, base=base)
+        rows = run_trials(dataset, ablation_cells(grid, replace(base, seed=4)), 10)
         by_cell = {r["cell"]: r for r in rows}
         assert by_cell["alpha=0.25"]["final_val_recon_sum"] == \
             by_cell["base"]["final_val_recon_sum"]
@@ -155,7 +168,7 @@ class TestAblation:
     def test_capacity_cell_runs_with_enumerated_pool(self, dataset):
         base = small_config(quantizer="adaptive")
         grid = AblationGrid(capacities=(16,), use_ema=(False,), alphas=(), betas=())
-        rows = run_ablation(dataset, grid, budget=8, seed=5, base=base)
+        rows = run_trials(dataset, ablation_cells(grid, replace(base, seed=5)), 8)
         cells = {r["cell"] for r in rows}
         assert cells == {"base", "W=16", "ema=False"}
         assert all(r["error"] is None for r in rows)
@@ -164,7 +177,7 @@ class TestAblation:
     def test_rows_carry_seed_and_hash(self, dataset):
         base = small_config(quantizer="adaptive")
         grid = AblationGrid(capacities=(), use_ema=(), alphas=(), betas=(0.2,))
-        rows = run_ablation(dataset, grid, budget=5, seed=6, base=base)
+        rows = run_trials(dataset, ablation_cells(grid, replace(base, seed=6)), 5)
         for row in rows:
             assert row["seed"] == 6
             assert len(row["config_hash"]) == 64

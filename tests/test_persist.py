@@ -11,9 +11,9 @@ from aqvq.errors import CheckpointError, ConfigError, ContractError, FormatError
 from aqvq.model import ModelConfig, evaluate, init_state, train_step
 from aqvq.persist import (
     RunReport,
-    checkpoint_config,
     config_hash,
     load_checkpoint,
+    read_checkpoint,
     resolve_run_config,
     save_checkpoint,
 )
@@ -89,8 +89,10 @@ class TestCheckpointRoundTrip:
         src = DatasetSource(clusters=3, samples=64, seed=9)
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path, dataset=src)
-        conf = checkpoint_config(path)
-        assert DatasetSource.from_dict(conf["dataset"]) == src
+        loaded, recipe = read_checkpoint(path)
+        assert recipe == src
+        save_checkpoint(loaded, tmp_path / "bare.json")
+        assert read_checkpoint(tmp_path / "bare.json")[1] is None
 
 
 class TestCheckpointErrors:

@@ -315,19 +315,6 @@ class TestEmaUpdate:
 
 
 class TestProjections:
-    def test_identity_init_round_trip(self):
-        rng = RNG(12)
-        layer = QuantizerLayer.create(CodebookSpec(8, 4), num_hiddens=4, rng=rng,
-                                      identity_init=True)
-        x = Tensor(rng.normal(size=(5, 4)))
-        np.testing.assert_array_equal(layer.project_in(x).data, x.data)
-        np.testing.assert_array_equal(layer.project_out(x).data, x.data)
-
-    def test_identity_init_needs_matching_widths(self):
-        with pytest.raises(ConfigError):
-            QuantizerLayer.create(CodebookSpec(8, 4), num_hiddens=6, rng=RNG(0),
-                                  identity_init=True)
-
     def test_random_maps_are_not_inverses(self):
         rng = RNG(13)
         layer = QuantizerLayer.create(CodebookSpec(8, 4), num_hiddens=6, rng=rng)
