@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import fit_analytic, gradient_gap, optimal_n
 from .data import DatasetSource, make_dataset
 from .errors import (
@@ -246,7 +248,10 @@ def cli_main(argv=None) -> int:
         # argparse already printed usage; fold argument errors into exit 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # overflow and invalid values surface as one NumericError from the
+        # finiteness checks, not as numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, DomainError, FormatError, FitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

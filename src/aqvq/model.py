@@ -58,7 +58,7 @@ class ModelConfig:
     """Everything needed to build and train one model."""
 
     encoder_arch: str = "dense"        # "dense" | "small_conv"
-    input_shape: tuple = (8,)          # (M,) for dense, (C, H, W) for small_conv
+    input_shape: tuple = (8,)          # (M,) for dense, (C, H, W) for small_conv, H and W multiples of 4
     num_hiddens: int = 16
     quantizer: str = "fixed"           # "fixed" | "adaptive" | "none"
     codebook_n: int = 16               # fixed quantizer structure
@@ -87,6 +87,10 @@ class ModelConfig:
             raise ConfigError(f"dense input shape must be (M,), got {self.input_shape}")
         if self.encoder_arch == "small_conv" and len(self.input_shape) != 3:
             raise ConfigError(f"conv input shape must be (C, H, W), got {self.input_shape}")
+        if self.encoder_arch == "small_conv" and (self.input_shape[1] % 4 or self.input_shape[2] % 4):
+            # two stride-2 layers down and two 2x upsamples back
+            raise ConfigError(f"conv input height and width must be multiples of 4, "
+                              f"got {self.input_shape}")
         if min(self.input_shape + (self.num_hiddens, self.batch_size)) < 1:
             raise ConfigError("input_shape, num_hiddens and batch_size must be positive")
         if self.alpha < 0 or self.beta < 0:
@@ -106,10 +110,7 @@ class ModelConfig:
         if self.encoder_arch != "small_conv":
             return ()
         _, h, w = self.input_shape
-        for _ in range(2):  # two stride-2 layers
-            h = (h - 1) // 2 + 1
-            w = (w - 1) // 2 + 1
-        return (h, w)
+        return (h // 4, w // 4)  # two stride-2 layers
 
     def positions_per_sample(self) -> int:
         if self.encoder_arch == "dense":

@@ -94,9 +94,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(kind={self.kind!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -409,10 +406,45 @@ def gather_rows(matrix: Tensor, indices) -> Tensor:
     return _node("gather_rows", matrix.data[idx].copy(), (matrix,), vjp)
 
 
+# Elements of one tile's im2col column block: the same cache budget as
+# ``vq.TILE_ELEMENTS``.
+CONV_TILE_ELEMENTS = 1 << 16
+
+
+def _taps(flat: np.ndarray, start: int, length: int, row: int) -> np.ndarray:
+    """(rows*9, length) im2col block of a channel-major padded grid.
+
+    ``flat`` is (rows, cells) with images of padded width ``row`` laid
+    end to end; tap (i, j) is the column shift ``i*row + j``.
+    """
+    cols = np.empty((flat.shape[0], 9, length), dtype=flat.dtype)
+    for k in range(9):
+        off = start + (k // 3) * row + k % 3
+        cols[:, k] = flat[:, off : off + length]
+    return cols.reshape(-1, length)
+
+
 def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """3x3 convolution with zero padding 1 and stride 1 or 2.
 
     ``x`` is (B, C, H, W), ``w`` is (O, C, 3, 3), ``b`` is (O,).
+
+    im2col on a padded grid: the input is padded once into a
+    channel-major (C, B*(H+2)*(W+2)) array, so each of the 9 taps is a
+    contiguous column shift and a tile of images is one (9C, positions)
+    column block times ``w.reshape(O, 9C)``. That gives the stride-1
+    response at every padded position; every ``stride``-th row and
+    column of the top-left (H, W) corner of each image grid is the
+    output. Tiles hold
+    about ``CONV_TILE_ELEMENTS`` column elements so the block stays in
+    cache, and backward rebuilds each tile's columns instead of keeping
+    them. ``dw`` is the zero-dilated output gradient on the same grid
+    times the transposed columns. ``dx`` is a transposed convolution:
+    the same tap stack, taken on that gradient shifted by one image
+    corner (``2*(W+2)+2``), times the kernel with channels swapped and
+    taps flipped. Its GEMM has inner dimension 9O rather than the O of
+    a col2im product, which numpy runs far slower when O is 1. ``dx``
+    is skipped (None) when ``x`` does not require a gradient.
     """
     if stride not in (1, 2):
         raise DimensionError(f"conv2d_3x3 stride must be 1 or 2, got {stride}")
@@ -426,26 +458,43 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise DimensionError(
             f"conv2d_3x3: x {x.data.shape}, w {w.data.shape}, b {b.data.shape}"
         )
-    oh = (height + 2 - 3) // stride + 1
-    ow = (width + 2 - 3) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    row = width + 2
+    cells = (height + 2) * row
+    shift = 2 * row + 2  # the largest tap offset
 
-    def window(arr, i, j):
-        return arr[:, :, i : i + stride * (oh - 1) + 1 : stride, j : j + stride * (ow - 1) + 1 : stride]
+    def grid(flat, start, n):
+        """(n, rows, H+2, W+2) view of n images of a flat padded grid."""
+        block = flat[:, start : start + n * cells].reshape(-1, n, height + 2, row)
+        return block.transpose(1, 0, 2, 3)
 
-    out = np.tile(b.data[None, :, None, None], (batch, 1, oh, ow)).astype(x.dtype)
-    for i in range(3):
-        for j in range(3):
-            out += np.einsum("bchw,oc->bohw", window(xp, i, j), w.data[:, :, i, j])
+    def tiles(rows):
+        step = max(1, CONV_TILE_ELEMENTS // (9 * rows * cells))
+        for b0 in range(0, batch, step):
+            n = min(step, batch - b0)
+            yield b0, n, b0 * cells, n * cells
+
+    xflat = np.zeros((chans, batch * cells + shift), dtype=x.dtype)
+    grid(xflat, 0, batch)[:, :, 1 : height + 1, 1 : width + 1] = x.data
+    out = np.empty((batch, out_ch, (height - 1) // stride + 1, (width - 1) // stride + 1),
+                   dtype=x.dtype)
+    w_cols = w.data.reshape(out_ch, chans * 9)
+    for b0, n, start, length in tiles(chans):
+        resp = w_cols @ _taps(xflat, start, length, row)
+        out[b0 : b0 + n] = grid(resp, 0, n)[:, :, :height:stride, :width:stride]
+    out += b.data[:, None, None]
 
     def vjp(g):
-        dw = np.zeros_like(w.data)
-        dxp = np.zeros_like(xp)
-        for i in range(3):
-            for j in range(3):
-                dw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, window(xp, i, j))
-                window(dxp, i, j)[...] += np.einsum("bohw,oc->bchw", g, w.data[:, :, i, j])
-        return dxp[:, :, 1 : 1 + height, 1 : 1 + width], dw, g.sum(axis=(0, 2, 3))
+        gflat = np.zeros((out_ch, batch * cells + shift), dtype=g.dtype)
+        grid(gflat, shift, batch)[:, :, :height:stride, :width:stride] = g
+        dw = np.zeros((out_ch, chans * 9), dtype=w.dtype)
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(chans, out_ch * 9)
+        for b0, n, start, length in tiles(chans if dx is None else max(chans, out_ch)):
+            dw += gflat[:, shift + start : shift + start + length] @ _taps(xflat, start, length, row).T
+            if dx is not None:
+                resp = w_flip @ _taps(gflat, start, length, row)
+                dx[b0 : b0 + n] = grid(resp, 0, n)[:, :, 1 : height + 1, 1 : width + 1]
+        return dx, dw.reshape(w.data.shape), g.sum(axis=(0, 2, 3))
 
     return _node("conv2d_3x3", out, (x, w, b), vjp)
 

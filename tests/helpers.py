@@ -1,6 +1,6 @@
-"""Shared test oracles: brute-force scans, a hand-rolled autoencoder,
-and frozen-residual surrogates for gradient checking through the
-straight-through paths."""
+"""Shared test oracles: brute-force scans, an einsum convolution, a
+hand-rolled autoencoder, and frozen-residual surrogates for gradient
+checking through the straight-through paths."""
 
 import numpy as np
 
@@ -8,14 +8,11 @@ from aqvq.model import decode, encode, forward_loss
 from aqvq.tensor import (
     Tensor,
     add,
-    backward,
     bmm,
     concat,
-    finite_difference_grad,
     gather_rows,
     mse,
     mul_scalar,
-    relative_error,
     reshape,
     softmax,
 )
@@ -39,23 +36,29 @@ def brute_force_nearest(z, embeddings):
     return out
 
 
-def max_grad_error(loss_builder, params, step=1e-6):
-    """Worst relative error between backward() and central differences.
+def reference_conv2d_3x3(x, w, b, stride, g):
+    """3x3 convolution, zero padding 1, as one einsum per tap.
 
-    ``loss_builder`` rebuilds the loss from scratch on every call (the
-    graph is define-by-run, and finite differencing perturbs parameter
-    data in place).
+    Returns the output and the gradients of ``sum(out * g)`` with
+    respect to ``x``, ``w`` and ``b``, computed in ``x``'s dtype.
     """
-    for p in params.values():
-        p.grad = None
-    backward(loss_builder())
-    worst = 0.0
-    for p in params.values():
-        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-        fd = finite_difference_grad(lambda _: loss_builder(), p, step=step)
-        worst = max(worst, relative_error(grad, fd.data))
-        p.grad = None
-    return worst
+    batch, chans, height, width = x.shape
+    oh = (height - 1) // stride + 1
+    ow = (width - 1) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+
+    def window(arr, i, j):
+        return arr[:, :, i : i + stride * (oh - 1) + 1 : stride, j : j + stride * (ow - 1) + 1 : stride]
+
+    out = np.tile(b[None, :, None, None], (batch, 1, oh, ow)).astype(x.dtype)
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for i in range(3):
+        for j in range(3):
+            out += np.einsum("bchw,oc->bohw", window(xp, i, j), w[:, :, i, j])
+            dw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, window(xp, i, j))
+            window(dxp, i, j)[...] += np.einsum("bohw,oc->bchw", g, w[:, :, i, j])
+    return out, dxp[:, :, 1 : 1 + height, 1 : 1 + width], dw, g.sum(axis=(0, 2, 3))
 
 
 class HandAutoencoder:

@@ -119,14 +119,24 @@ class TestTrain:
         assert rc == 1
         assert "AQVQ_SEED" in capsys.readouterr().err
 
-    def test_numeric_blowup_exits_two(self, tmp_path, run_config):
+    def test_numeric_blowup_exits_two(self, tmp_path, run_config, capsys):
         raw = json.loads(run_config.read_text())
         raw["model"]["learning_rate"] = 1e30
         bad = tmp_path / "explode.json"
         bad.write_text(json.dumps(raw))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+        rc = cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and len(err.strip().splitlines()) == 1
+
+    def test_gradient_gap_needs_a_probe(self, tmp_path, run_config, capsys):
+        raw = json.loads(run_config.read_text())
+        raw["train"]["probe_size"] = 0
+        bad = tmp_path / "no_probe.json"
+        bad.write_text(json.dumps(raw))
+        assert cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "probe_size" in err
 
 
 class TestSweepAndAdaptive:
@@ -467,8 +477,7 @@ class TestFuzzedInput:
             "checkpoint": ["analyze", "--checkpoint", str(path), "--gradient-gap"],
         }[kind]
         capsys.readouterr()
-        with np.errstate(all="ignore"):
-            rc = cli_main(argv)
+        rc = cli_main(argv)
         err = capsys.readouterr().err
         assert rc in (0, 1, 2)
         if rc != 0:

@@ -4,7 +4,7 @@ evaluation purity, and equivalence with a hand-rolled autoencoder."""
 import numpy as np
 import pytest
 
-from helpers import HandAutoencoder, fixed_surrogate, max_grad_error
+from helpers import HandAutoencoder, fixed_surrogate
 from aqvq.errors import ConfigError, ContractError, DimensionError
 from aqvq.model import (
     ModelConfig,
@@ -16,7 +16,7 @@ from aqvq.model import (
     rng_streams,
     train_step,
 )
-from aqvq.tensor import Tensor
+from aqvq.tensor import Tensor, backward, finite_difference_grad, relative_error
 from aqvq.vq import nearest_indices
 
 RNG = np.random.default_rng
@@ -42,6 +42,8 @@ class TestConfig:
             ModelConfig(gamma=1.0)
         with pytest.raises(ConfigError):
             ModelConfig(encoder_arch="small_conv", input_shape=(8,))
+        with pytest.raises(ConfigError):
+            ModelConfig(encoder_arch="small_conv", input_shape=(1, 5, 7))
 
     def test_latent_grid_shape_arithmetic(self):
         cfg = ModelConfig(encoder_arch="small_conv", input_shape=(1, 8, 8),
@@ -124,23 +126,33 @@ class TestForwardLoss:
     def test_full_fixed_loss_gradient_matches_frozen_residual_fd(self):
         cfg = dense_config(input_shape=(4,), num_hiddens=6, codebook_n=4,
                            codebook_d=2, use_ema=False, seed=2)
-        state = init_state(cfg)
-        x = RNG(6).normal(size=(4, 4))
-        actual, surrogate = fixed_surrogate(state, x)
-        assert abs(actual().item() - surrogate().item()) < 1e-12
-        err = max_grad_error(lambda: actual(), state.trainable(),
-                             step=1e-6)  # backward on actual ...
-        # ... but the finite differences must run on the surrogate
-        from aqvq.tensor import backward, finite_difference_grad, relative_error
-        state.zero_grads()
-        backward(actual())
-        worst = 0.0
-        for p in state.trainable().values():
-            fd = finite_difference_grad(lambda _: surrogate(), p, step=1e-6)
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            worst = max(worst, relative_error(grad, fd.data))
-        state.zero_grads()
+        worst = _straight_through_grad_error(init_state(cfg), RNG(6).normal(size=(4, 4)))
         assert worst < 1e-4, f"straight-through gradient off by {worst}"
+
+    def test_conv_fixed_loss_gradient_matches_frozen_residual_fd(self):
+        # non-square input with an odd-width latent grid (1 x 3)
+        cfg = ModelConfig(encoder_arch="small_conv", input_shape=(1, 4, 12), num_hiddens=3,
+                          quantizer="fixed", codebook_n=4, codebook_d=2, use_ema=False,
+                          seed=3)
+        worst = _straight_through_grad_error(init_state(cfg),
+                                             RNG(7).normal(size=(2, 1, 4, 12)))
+        assert worst < 1e-4, f"straight-through gradient off by {worst}"
+
+
+def _straight_through_grad_error(state, x):
+    """Worst relative error of backward() on the full fixed-quantizer loss
+    against central differences of its frozen-residual surrogate."""
+    actual, surrogate = fixed_surrogate(state, x)
+    assert abs(actual().item() - surrogate().item()) < 1e-12
+    state.zero_grads()
+    backward(actual())
+    worst = 0.0
+    for p in state.trainable().values():
+        fd = finite_difference_grad(lambda _: surrogate(), p, step=1e-6)
+        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+        worst = max(worst, relative_error(grad, fd.data))
+    state.zero_grads()
+    return worst
 
 
 class TestTrainStep:

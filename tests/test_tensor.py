@@ -1,9 +1,15 @@
 """Autodiff engine: values, gradients against finite differences,
 graph structure, and the straight-through/detach semantics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_conv2d_3x3
+from aqvq import tensor
 from aqvq.errors import ContractError, DimensionError, NumericError
 from aqvq.tensor import (
     Graph,
@@ -305,6 +311,17 @@ class TestGradientsMatchFiniteDifferences:
         _grad_check(build, w, step=1e-5)
         _grad_check(build, b, step=1e-5)
 
+    def test_conv2d_odd_non_square_stride2(self):
+        rng = RNG(12)
+        x = Tensor(rng.normal(size=(2, 2, 7, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        target = Tensor(rng.normal(size=(2, 3, 4, 3)))
+        build = lambda: mse(conv2d_3x3(x, w, b, stride=2), target)
+        _grad_check(build, x, step=1e-5)
+        _grad_check(build, w, step=1e-5)
+        _grad_check(build, b, step=1e-5)
+
     def test_upsample2x(self):
         rng = RNG(13)
         x = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
@@ -319,6 +336,42 @@ class TestGradientsMatchFiniteDifferences:
         x = Tensor(vals, requires_grad=True)
         build = lambda: mse(relu(x), Tensor(np.zeros((6, 4))))
         _grad_check(build, x)
+
+
+class TestConvMatchesReference:
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_property_matches_einsum_reference(self, data):
+        # tolerances are relative to the sum of the absolute terms, which
+        # bounds the rounding of any summation order; the tile budget is
+        # set to whole images so a batch spans several tiles, the last
+        # one ragged
+        batch, chans, out_ch = (data.draw(st.integers(1, 5), label=k) for k in "BCO")
+        height, width = (data.draw(st.integers(1, 9), label=k) for k in "HW")
+        stride = data.draw(st.sampled_from([1, 2]), label="stride")
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        x_grad = data.draw(st.booleans(), label="x_requires_grad")
+        per_tile = data.draw(st.integers(1, batch), label="images_per_tile")
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x, w, b = (rng.normal(size=s).astype(dtype) for s in
+                   ((batch, chans, height, width), (out_ch, chans, 3, 3), (out_ch,)))
+        oh, ow = (height - 1) // stride + 1, (width - 1) // stride + 1
+        g = rng.normal(size=(batch, out_ch, oh, ow)).astype(dtype)
+        tile = per_tile * 9 * chans * (height + 2) * (width + 2)
+        with mock.patch.object(tensor, "CONV_TILE_ELEMENTS", tile):
+            out = conv2d_3x3(Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True),
+                             Tensor(b, requires_grad=True), stride=stride)
+            grads = out._vjp(g)
+        f64 = lambda *arrays: [a.astype(np.float64) for a in arrays]
+        want = reference_conv2d_3x3(*f64(x, w, b), stride, *f64(g))
+        scale = reference_conv2d_3x3(*f64(abs(x), abs(w), abs(b)), stride, *f64(abs(g)))
+        rtol = 1e-12 if dtype == np.float64 else 1e-5
+        for name, got, ref, mag in zip(("out", "dx", "dw", "db"), (out.data, *grads), want, scale):
+            if name == "dx" and not x_grad:
+                assert got is None
+                continue
+            assert got.dtype == dtype and got.shape == ref.shape, name
+            assert np.all(np.abs(got - ref) <= rtol * mag), name
 
 
 class TestShapeErrors:
