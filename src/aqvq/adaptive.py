@@ -87,7 +87,7 @@ class CodebookPool:
     def create(cls, specs, num_hiddens: int, rng: np.random.Generator,
                num_heads: int = 2, gamma: float = 0.99, laplace_eps: float = 1e-5,
                trainable_codebooks: bool = False, scores_qk_only: bool = False,
-               identity_attention: bool = False, dtype=np.float64) -> "CodebookPool":
+               dtype=np.float64) -> "CodebookPool":
         specs = list(specs)
         if not specs:
             raise ConfigError("codebook pool needs at least one structure")
@@ -111,17 +111,9 @@ class CodebookPool:
         keys = param(m, num_hiddens)
         values = param(m, num_hiddens)
         head_dim = num_hiddens // num_heads
-        if identity_attention:
-            if num_heads != 1:
-                raise ConfigError("identity attention projections require one head")
-            eye = np.eye(num_hiddens, dtype=dtype)
-            wq = [Tensor(eye.copy(), requires_grad=True)]
-            wk = [Tensor(eye.copy(), requires_grad=True)]
-            wv = [Tensor(eye.copy(), requires_grad=True)]
-        else:
-            wq = [param(num_hiddens, head_dim) for _ in range(num_heads)]
-            wk = [param(num_hiddens, head_dim) for _ in range(num_heads)]
-            wv = [param(num_hiddens, head_dim) for _ in range(num_heads)]
+        wq = [param(num_hiddens, head_dim) for _ in range(num_heads)]
+        wk = [param(num_hiddens, head_dim) for _ in range(num_heads)]
+        wv = [param(num_hiddens, head_dim) for _ in range(num_heads)]
         w_out = param(num_hiddens, m)
         b_out = Tensor(np.zeros(m, dtype=dtype), requires_grad=True)
         return cls(quantizers, keys, values, wq, wk, wv, w_out, b_out,

@@ -38,6 +38,8 @@ class DatasetSource:
         kinds = ("synthetic_gaussian_mixture", "synthetic_patterns", "idx_images")
         if self.kind not in kinds:
             raise ConfigError(f"unknown dataset kind {self.kind!r}; expected one of {kinds}")
+        if self.seed < 0:
+            raise ConfigError(f"dataset seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"validation fraction must lie in (0,1), got {self.val_fraction}")
         if self.kind != "idx_images":

@@ -71,6 +71,9 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
     if steps < 1 or eval_batch_size < 1:
         raise ConfigError(f"training budget and evaluation batch size must be at least 1, "
                           f"got {steps} and {eval_batch_size}")
+    if record_every < 0 or gap_every < 0:
+        raise ConfigError(f"record_every and gap_every must be nonnegative, "
+                          f"got {record_every} and {gap_every}")
     if gap_every > 0 and probe_size < 1:
         raise ConfigError(f"probing the gradient gap needs probe_size of at least 1, "
                           f"got {probe_size}")

@@ -93,8 +93,12 @@ class ModelConfig:
                               f"got {self.input_shape}")
         if min(self.input_shape + (self.num_hiddens, self.batch_size)) < 1:
             raise ConfigError("input_shape, num_hiddens and batch_size must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be nonnegative")
+        if self.alpha < 0 or self.beta < 0 or self.learning_rate < 0:
+            raise ConfigError("alpha, beta and learning_rate must be nonnegative")
+        if self.num_heads < 1:
+            raise ConfigError(f"num_heads must be at least 1, got {self.num_heads}")
+        if self.seed < 0:
+            raise ConfigError(f"model seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must lie in (0,1), got {self.gamma}")
         if self.precision not in ("double", "single"):
@@ -144,8 +148,6 @@ class TrainState:
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
-        for cb in self.codebooks:
-            cb.embeddings.grad = None
 
     def trainable(self) -> dict:
         return {k: v for k, v in self.params.items() if v.requires_grad}

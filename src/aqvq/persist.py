@@ -1,17 +1,20 @@
 """Checkpoints, run reports, and resolved run configurations.
 
-Checkpoints are JSON documents with every float stored in C99 hex
-notation, so save/load round-trips are bit-exact and a double save is
-byte-identical. Run reports collect per-step metrics and a summary;
-they serialize to JSON and to plot-ready CSV with identical values.
+Checkpoints are JSON documents holding one map of named arrays, every
+float in C99 hex notation, so save/load round-trips are bit-exact and a
+double save is byte-identical. Run reports collect per-step metrics and
+a summary; they serialize to JSON and to plot-ready CSV with identical
+values.
 ``write_csv`` and ``write_json`` are the one table writer and the one
-document writer that reports, sweeps and ablations go through.
+document writer that checkpoints, reports, sweeps and ablations go
+through; both replace their target atomically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,7 @@ __all__ = [
     "write_json",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 TRAIN_DEFAULTS = {
     "steps": 2000,
@@ -57,20 +60,19 @@ def _decode_array(doc: dict) -> np.ndarray:
     return values.reshape(doc["shape"])
 
 
-def _codebook_doc(codebook) -> dict:
-    return {
-        "embeddings": _encode_array(codebook.embeddings.data),
-        "ema_cluster_size": _encode_array(codebook.ema_cluster_size),
-        "ema_embed_sum": _encode_array(codebook.ema_embed_sum),
-        "gamma": codebook.gamma,
-        "laplace_eps": codebook.laplace_eps,
-    }
-
-
-def _stored_params(state: TrainState) -> dict:
-    """Parameters stored under ``params``: all but the codebooks, stored on their own."""
-    embedding_ids = {id(cb.embeddings) for cb in state.codebooks}
-    return {name: p for name, p in state.params.items() if id(p) not in embedding_ids}
+def _state_arrays(state: TrainState) -> dict:
+    """Every array of a model's state, under the name a checkpoint stores it
+    by: each Adam-trained parameter, each codebook's EMA buffers (and its
+    codewords when EMA trains them), and the Adam moments."""
+    arrays = {f"params[{name}]": p.data for name, p in state.params.items()}
+    for i, cb in enumerate(state.codebooks):
+        if not cb.embeddings.requires_grad:
+            arrays[f"codebooks[{i}].embeddings"] = cb.embeddings.data
+        arrays[f"codebooks[{i}].ema_cluster_size"] = cb.ema_cluster_size
+        arrays[f"codebooks[{i}].ema_embed_sum"] = cb.ema_embed_sum
+    arrays.update((f"adam_m[{name}]", m) for name, m in state.adam_m.items())
+    arrays.update((f"adam_v[{name}]", v) for name, v in state.adam_v.items())
+    return arrays
 
 
 def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = None) -> None:
@@ -83,10 +85,7 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
         },
         "step": state.step,
         "adam_t": state.adam_t,
-        "params": {name: _encode_array(p.data) for name, p in _stored_params(state).items()},
-        "codebooks": [_codebook_doc(cb) for cb in state.codebooks],
-        "adam_m": {name: _encode_array(arr) for name, arr in state.adam_m.items()},
-        "adam_v": {name: _encode_array(arr) for name, arr in state.adam_v.items()},
+        "arrays": {name: _encode_array(arr) for name, arr in _state_arrays(state).items()},
     }
     write_json(path, doc)
 
@@ -106,9 +105,7 @@ def read_json(path, kind: str):
         raise FormatError(f"{path}: not UTF-8 text: {err.reason}") from err
 
 
-CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0, "codebooks": ({},)}
-CODEBOOK_FIELDS = {"embeddings": {}, "ema_cluster_size": {}, "ema_embed_sum": {},
-                   "gamma": 0.0, "laplace_eps": 0.0}
+CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0}
 ARRAY_FIELDS = {"shape": (0,), "dtype": "", "hex": []}
 
 
@@ -128,50 +125,26 @@ def _load_array(path, name: str, entry, like: np.ndarray) -> np.ndarray:
 def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
     """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``,
     with the dataset recipe saved beside it (None if there is none). Its
-    names, shapes, dtypes and EMA constants must be those ``init_state``
-    builds from its model config."""
+    array names, shapes and dtypes must be those of the state ``init_state``
+    builds from its model config; each array is copied into that state's."""
     doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version!r} is not supported "
                               f"(reader expects {FORMAT_VERSION})")
-
-    def load_all(key: str, like: dict) -> dict:
-        names = set(doc[key]) if isinstance(doc[key], dict) else set()
-        if names != set(like):
-            raise CheckpointError(f"{path}: {key} entries {sorted(names ^ set(like))} "
-                                  "do not match the model")
-        return {name: _load_array(path, f"{key}[{name}]", entry, like[name])
-                for name, entry in doc[key].items()}
-
     try:
         check_config("checkpoint", {k: doc[k] for k in CHECKPOINT_FIELDS}, CHECKPOINT_FIELDS)
         config = doc["config"]
         state = init_state(ModelConfig.from_dict(config["model"]))
         dataset = (None if config.get("dataset") is None
                    else DatasetSource.from_dict(config["dataset"]))
-        stored = {name: p.data for name, p in _stored_params(state).items()}
-        for name, arr in load_all("params", stored).items():
-            state.params[name].data = arr
-        if len(doc["codebooks"]) != len(state.codebooks):
-            raise CheckpointError(
-                f"{path}: {len(doc['codebooks'])} codebooks for a model with "
-                f"{len(state.codebooks)}"
-            )
-        for i, (cb, entry) in enumerate(zip(state.codebooks, doc["codebooks"])):
-            name = f"codebooks[{i}]"
-            check_config(name, entry, CODEBOOK_FIELDS)
-            if (entry["gamma"], entry["laplace_eps"]) != (cb.gamma, cb.laplace_eps):
-                raise CheckpointError(f"{path}: {name} gamma and laplace_eps are not the "
-                                      f"model's {cb.gamma!r} and {cb.laplace_eps!r}")
-            cb.embeddings.data = _load_array(path, name + ".embeddings", entry["embeddings"],
-                                             cb.embeddings.data)
-            cb.ema_cluster_size = _load_array(path, name + ".ema_cluster_size",
-                                              entry["ema_cluster_size"], cb.ema_cluster_size)
-            cb.ema_embed_sum = _load_array(path, name + ".ema_embed_sum",
-                                           entry["ema_embed_sum"], cb.ema_embed_sum)
-        state.adam_m = load_all("adam_m", state.adam_m)
-        state.adam_v = load_all("adam_v", state.adam_v)
+        stored = doc["arrays"] if isinstance(doc["arrays"], dict) else {}
+        arrays = _state_arrays(state)
+        if set(stored) != set(arrays):
+            raise CheckpointError(f"{path}: arrays {sorted(set(stored) ^ set(arrays))} "
+                                  "do not match the model")
+        for name, arr in arrays.items():
+            np.copyto(arr, _load_array(path, name, stored[name], arr))
         state.adam_t = doc["adam_t"]
         state.step = doc["step"]
     except KeyError as err:
@@ -196,11 +169,26 @@ def resolve_run_config(raw: dict) -> dict:
             "train": {**TRAIN_DEFAULTS, **train}}
 
 
+def _write_atomically(path, write) -> None:
+    """Run ``write(fh)`` on a temporary file beside ``path``, then move it
+    over ``path``: a write that fails leaves ``path`` as it was."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
 def write_json(path, doc, **options) -> None:
-    """Write ``doc`` as indented JSON with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``doc`` as indented JSON with a final newline, atomically."""
+    def write(fh):
         json.dump(doc, fh, indent=1, **options)
         fh.write("\n")
+
+    _write_atomically(path, write)
 
 
 def config_hash(resolved: dict) -> str:
@@ -211,16 +199,16 @@ def config_hash(resolved: dict) -> str:
 
 def write_csv(path, columns, rows) -> None:
     """Write a header of ``columns``, then one line per row (a dict keyed by
-    column). Floats are written with ``repr``, so they read back bit-exact;
-    a missing or None cell is empty; anything else is written with ``str``."""
+    column), atomically. Floats are written with ``repr``, so they read
+    back bit-exact; a missing or None cell is empty; anything else is
+    written with ``str``."""
     def cell(value) -> str:
         if value is None:
             return ""
         return repr(float(value)) if isinstance(value, float) else str(value)
 
     lines = [",".join(columns)] + [",".join(cell(row.get(c)) for c in columns) for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 RECORD_KEYS = ("step", "recon", "vq", "gap", "temperature", "usage")

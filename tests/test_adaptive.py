@@ -52,8 +52,9 @@ def _pool(w, hiddens, rng, **kw):
 
 class TestAttentionLogits:
     def test_identity_projection_reduces_to_scaled_dot(self):
-        pool = _pool(8, 2, RNG(0), num_heads=1, scores_qk_only=True,
-                     identity_attention=True)
+        pool = _pool(8, 2, RNG(0), num_heads=1, scores_qk_only=True)
+        for w in (pool.wq, pool.wk, pool.wv):
+            w[0].data[:] = np.eye(2)
         pool.keys.data[:] = [[1.0, 0.0], [0.0, 1.0]]
         logits = attention_logits(Tensor([[1.0, 0.0]]), pool)
         np.testing.assert_allclose(logits.data, [[1.0 / np.sqrt(2.0), 0.0]])

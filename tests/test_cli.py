@@ -118,6 +118,12 @@ class TestTrain:
         rc = cli_main(["train", "--config", str(run_config), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "AQVQ_SEED" in capsys.readouterr().err
+        monkeypatch.setenv("AQVQ_SEED", "-5")
+        rc = cli_main(["train", "--config", str(run_config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "seed" in err and "-5" in err
 
     def test_numeric_blowup_exits_two(self, tmp_path, run_config, capsys):
         raw = json.loads(run_config.read_text())
@@ -309,8 +315,15 @@ class TestWrongShapeInput:
         ("train --config", {"model": {"input_shape": 8}}),
         ("train --config", {"train": {"steps": "x"}}),
         ("train --config", {"dataset": {"samples": "x"}}),
+        ("train --config", {"model": {"seed": -1}}),
+        ("train --config", {"dataset": {"seed": -1}}),
+        ("train --config", {"model": {"num_heads": 0}}),
+        ("train --config", {"model": {"num_heads": -2}}),
+        ("train --config", {"model": {"learning_rate": -1e-3}}),
     ], ids=["grid-int", "grid-list", "sweep-ints", "sweep-object", "report-list",
-            "report-record-keys", "model-int", "input-shape-int", "steps-str", "samples-str"])
+            "report-record-keys", "model-int", "input-shape-int", "steps-str", "samples-str",
+            "model-seed-negative", "dataset-seed-negative", "heads-zero", "heads-negative",
+            "learning-rate-negative"])
     def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, command, document):
         path = tmp_path / ("report.json" if command == "report --run" else "input.json")
         path.write_text(json.dumps(document))
@@ -355,16 +368,18 @@ class TestMalformedCheckpoint:
     """A checkpoint field of the wrong type or value exits 1 with one error line."""
 
     @pytest.mark.parametrize("edit", [
-        _set(["codebooks", 0, "gamma"], "x"),
-        _set(["codebooks", 0, "laplace_eps"], [1]),
+        _set(["config", "model", "gamma"], "x"),
+        _set(["config", "model", "laplace_eps"], [1]),
         _set(["step"], "x"),
-        _set(["codebooks"], 5),
-        _set(["codebooks", 0], "x"),
-        _set(["params", "", "hex", 0], 5),
+        _set(["arrays"], 5),
+        _set(["arrays", "codebooks[0].ema_cluster_size"], "x"),
+        _set(["arrays", "", "shape"], "x"),
+        _set(["arrays", "", "hex"], 5),
+        _set(["arrays", "", "hex", 0], 5),
         _set(["config"], 7),
         _set(["adam_t"], 1.5),
-    ], ids=["gamma-str", "laplace-eps-list", "step-str", "codebooks-int", "codebook-str",
-            "hex-int", "config-int", "adam-t-float"])
+    ], ids=["gamma-str", "laplace-eps-list", "step-str", "arrays-int", "codebook-str",
+            "shape-str", "hex-not-list", "hex-int", "config-int", "adam-t-float"])
     def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, edit):
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
@@ -378,16 +393,19 @@ class TestMalformedCheckpoint:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
-    def test_stored_gamma_must_match_the_config(self, tmp_path, run_config, capsys):
+    def test_version_one_file_is_rejected(self, tmp_path, run_config, capsys):
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
         doc = json.loads((out / "checkpoint.json").read_text())
-        doc["codebooks"][0]["gamma"] = 0.5
-        path = tmp_path / "edited.json"
+        doc["format_version"] = 1
+        doc["params"] = doc.pop("arrays")  # version 1 kept its arrays in separate tables
+        path = tmp_path / "version1.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli_main(["analyze", "--checkpoint", str(path), "--gradient-gap"]) == 1
-        assert "gamma" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "version 1" in err
 
     def test_checkpoint_is_read_once(self, tmp_path, run_config, monkeypatch):
         from aqvq import persist

@@ -73,6 +73,12 @@ class TestTrainRun:
         with pytest.raises(ConfigError):
             train_run(small_config(), dataset, steps=0)
 
+    @pytest.mark.parametrize("knob", ["record_every", "gap_every"])
+    def test_negative_intervals_rejected(self, dataset, knob):
+        with pytest.raises(ConfigError) as err:
+            train_run(small_config(), dataset, steps=2, **{knob: -1})
+        assert knob in str(err.value)
+
     def test_bit_identical_reruns(self, dataset):
         cfg = small_config(quantizer="adaptive")
         _, a = train_run(cfg, dataset, steps=15)

@@ -9,6 +9,7 @@ import pytest
 from aqvq.data import DatasetSource
 from aqvq.errors import CheckpointError, ConfigError, ContractError, FormatError
 from aqvq.model import ModelConfig, evaluate, init_state, train_step
+from aqvq import persist
 from aqvq.persist import (
     RunReport,
     config_hash,
@@ -16,6 +17,7 @@ from aqvq.persist import (
     read_checkpoint,
     resolve_run_config,
     save_checkpoint,
+    write_json,
 )
 
 RNG = np.random.default_rng
@@ -76,6 +78,23 @@ class TestCheckpointRoundTrip:
         doc = json.loads(path.read_text())
         assert next(iter(doc)) == "format_version"
 
+    def test_loaded_arrays_are_those_init_state_allocated(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(quantizer="adaptive"), path)
+        allocated = []
+
+        def capture(config):
+            state = init_state(config)
+            allocated.append(persist._state_arrays(state))
+            return state
+
+        monkeypatch.setattr(persist, "init_state", capture)
+        loaded = load_checkpoint(path)
+        (before,) = allocated
+        after = persist._state_arrays(loaded)
+        assert list(after) == list(before)
+        assert all(after[name] is arr for name, arr in before.items())
+
     def test_training_continues_after_reload(self, tmp_path):
         state = trained_state(steps=3)
         path = tmp_path / "ckpt.json"
@@ -129,7 +148,7 @@ class TestCheckpointErrors:
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(), path)
         doc = json.loads(path.read_text())
-        entry = doc["params"]["enc.w1"]
+        entry = doc["arrays"]["params[enc.w1]"]
         entry["shape"], entry["hex"] = [2, 2], entry["hex"][:4]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError) as err:
@@ -140,7 +159,7 @@ class TestCheckpointErrors:
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(), path)
         doc = json.loads(path.read_text())
-        doc["adam_m"]["bogus"] = doc["adam_m"]["enc.w1"]
+        doc["arrays"]["adam_m[bogus]"] = doc["arrays"]["adam_m[enc.w1]"]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
@@ -150,7 +169,7 @@ class TestCheckpointErrors:
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(), path)
         doc = json.loads(path.read_text())
-        doc["params"] = list(doc["params"].values())
+        doc["arrays"] = list(doc["arrays"].values())
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
@@ -160,7 +179,7 @@ class TestCheckpointErrors:
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(quantizer="adaptive"), path)
         doc = json.loads(path.read_text())
-        doc["codebooks"][1]["ema_embed_sum"]["dtype"] = "float32"
+        doc["arrays"]["codebooks[1].ema_embed_sum"]["dtype"] = "float32"
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
@@ -243,6 +262,15 @@ class TestRunReport:
             assert gap == rec["gap"]
             usage = [int(cells[f"usage_{i}"]) for i in range(3)]
             assert usage == rec["usage"]
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"kept": 1})
+        old = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": list(range(10000)), "b": object()})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
     def test_fixed_mode_report_has_no_usage_columns(self, tmp_path):
         report = RunReport()
