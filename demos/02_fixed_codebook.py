@@ -1,5 +1,5 @@
 """Fixed-codebook quantization on a Gaussian mixture: nearest-neighbour
-assignment, commitment losses, and EMA codeword learning.
+assignment, the VQ loss, and EMA codeword learning.
 
 Run: python demos/02_fixed_codebook.py
 """
@@ -18,9 +18,8 @@ codebook = Codebook(rng.normal(size=(4, 2)))
 points = Tensor(rng.normal(size=(6, 2)))
 out = quantize(points, codebook, alpha=0.25, beta=1.0)
 print("assignments:", out.indices.tolist())
-print(f"codebook loss {out.codebook_loss.item():.4f}, "
-      f"commitment loss {out.commitment_loss.item():.4f}, "
-      f"combined {out.vq_loss.item():.4f}")
+# codebook term plus 0.25 x commitment term, both mean((z - e)^2)
+print(f"vq loss {out.vq_loss.item():.4f}")
 
 # EMA pulls each codeword toward the mean of its assigned points.
 batch = np.vstack([rng.normal(loc=(2, 2), scale=0.1, size=(16, 2)),

@@ -68,8 +68,9 @@ def _read_sweep_pairs(path: str) -> list:
 
 
 def _prepare(args):
-    """Resolve the run config, write it next to the outputs, and build the
-    model config and dataset. ``adaptive`` sets the quantizer to a pool of
+    """Resolve the run config, build the model config and dataset, and
+    only then write the config next to the outputs, so a rejected run
+    leaves none behind. ``adaptive`` sets the quantizer to a pool of
     ``--capacity``; ``AQVQ_SEED`` overrides both seeds."""
     resolved = resolve_run_config({} if args.config is None
                                   else read_json(args.config, "config file"))
@@ -81,11 +82,15 @@ def _prepare(args):
             resolved["model"]["seed"] = resolved["dataset"]["seed"] = int(seed)
         except ValueError as err:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from err
+    model = ModelConfig.from_dict(resolved["model"])
+    dataset = make_dataset(DatasetSource.from_dict(resolved["dataset"]))
+    if dataset.sample_shape != model.input_shape:
+        raise ConfigError(f"model input_shape {list(model.input_shape)} does not match "
+                          f"dataset samples shaped {list(dataset.sample_shape)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "resolved_config.json", resolved, sort_keys=True)
-    model = ModelConfig.from_dict(resolved["model"])
-    return resolved, out, model, make_dataset(DatasetSource.from_dict(resolved["dataset"]))
+    return resolved, out, model, dataset
 
 
 def _cmd_train(args) -> int:

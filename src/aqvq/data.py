@@ -135,8 +135,11 @@ def synth_dataset(source: DatasetSource) -> Dataset:
 
 
 def _read_idx(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError as err:
+        raise ConfigError(f"IDX file not found: {path}") from err
     if len(blob) < 4:
         raise FormatError(f"{path}: too short for an IDX header ({len(blob)} bytes)")
     zero1, zero2, dtype_code, ndim = struct.unpack(">BBBB", blob[:4])

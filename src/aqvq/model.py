@@ -101,6 +101,15 @@ class ModelConfig:
             raise ConfigError(f"model seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must lie in (0,1), got {self.gamma}")
+        if self.laplace_eps <= 0:
+            raise ConfigError(f"laplace_eps must be positive, got {self.laplace_eps}")
+        if self.quantizer == "fixed":
+            CodebookSpec(self.codebook_n, self.codebook_d)
+        elif self.quantizer == "adaptive":
+            enumerate_structures(self.capacity)
+            if self.num_hiddens % self.num_heads:
+                raise ConfigError(f"num_heads={self.num_heads} must divide "
+                                  f"num_hiddens={self.num_hiddens}")
         if self.precision not in ("double", "single"):
             raise ConfigError(f"precision must be 'double' or 'single', got {self.precision!r}")
 
@@ -115,12 +124,6 @@ class ModelConfig:
             return ()
         _, h, w = self.input_shape
         return (h // 4, w // 4)  # two stride-2 layers
-
-    def positions_per_sample(self) -> int:
-        if self.encoder_arch == "dense":
-            return 1
-        gh, gw = self.latent_grid
-        return gh * gw
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -137,7 +140,7 @@ class TrainState:
     """Parameters, codebooks and optimizer buffers for one training run."""
 
     config: ModelConfig
-    params: dict
+    params: dict                 # name -> Tensor trained by Adam
     codebooks: list
     quantizer: object            # QuantizerLayer | CodebookPool | None
     adam_m: dict = field(default_factory=dict)
@@ -148,9 +151,6 @@ class TrainState:
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-    def trainable(self) -> dict:
-        return {k: v for k, v in self.params.items() if v.requires_grad}
 
 
 def rng_streams(seed: int) -> dict:
@@ -222,7 +222,7 @@ def init_state(config: ModelConfig, rng: np.random.Generator | None = None) -> T
 
     state = TrainState(config=config, params=params, codebooks=codebooks,
                        quantizer=quantizer)
-    for name, p in state.trainable().items():
+    for name, p in state.params.items():
         state.adam_m[name] = np.zeros_like(p.data)
         state.adam_v[name] = np.zeros_like(p.data)
     return state
@@ -316,7 +316,7 @@ def _adam_update(state: TrainState) -> None:
     t = state.adam_t
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in state.trainable().items():
+    for name, p in state.params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.adam_m[name]
         v = state.adam_v[name]

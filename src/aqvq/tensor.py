@@ -97,27 +97,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(kind={self.kind!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Minimal operator sugar; anything fancier goes through the ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, c):
-        return mul_scalar(self, c)
-
-    def __rmul__(self, c):
-        return mul_scalar(self, c)
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other, dtype=self.dtype))
-        return add(self, mul_scalar(other, -1.0))
-
 
 def _node(kind: str, data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     """Wrap an op result, recording parents and the backward rule."""

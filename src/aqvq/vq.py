@@ -2,10 +2,10 @@
 
 A codebook is an N x D matrix of codewords. Continuous rows are
 assigned to their nearest codeword, forwarded through a
-straight-through connection, and pulled together by a pair of
-commitment terms. Codewords learn either by gradient descent on the
-codebook term or by exponential-moving-average updates toward the
-vectors assigned to them.
+straight-through connection, and pulled together by a codebook and a
+commitment term, one graph node. Codewords learn either by gradient
+descent on the codebook term or by exponential-moving-average updates
+toward the vectors assigned to them.
 
 ``QuantizerLayer`` wraps a codebook together with the affine maps that
 carry hidden activations into and out of the codeword dimension.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, affine, detach, gather_rows, mse, mul_scalar
+from .tensor import Tensor, _node, affine
 from .tensor import straight_through as _straight_through
 
 __all__ = [
@@ -109,9 +109,7 @@ class QuantizeOutput:
 
     z_q: Tensor              # T x D, straight-through output
     indices: np.ndarray      # T, selected codeword per row
-    codebook_loss: Tensor    # ||sg[z] - z_q||^2, mean over elements
-    commitment_loss: Tensor  # ||z - sg[z_q]||^2, mean over elements
-    vq_loss: Tensor          # beta * (codebook + alpha * commitment)
+    vq_loss: Tensor          # beta * (codebook + alpha * commitment), scalar
 
 
 @dataclass
@@ -208,12 +206,14 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
 
 def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,
              beta: float = 1.0) -> QuantizeOutput:
-    """Quantize rows of ``z_e`` and form the commitment losses.
+    """Quantize rows of ``z_e``; return the codewords and the VQ-VAE loss.
 
-    Losses reduce as means over all elements so values are comparable
-    across codeword dimensions. The returned ``z_q`` carries the exact
-    selected codeword values forward and the straight-through gradient
-    back to ``z_e``.
+    ``vq_loss`` is one graph node, ``beta * (m + alpha * m)`` with
+    ``m = mean((z_e - e)^2)`` over all elements and ``e`` the selected
+    codewords. The codebook term ``m`` sends its gradient to the
+    codewords (only when they are trained by gradient), the commitment
+    term ``alpha * m`` to ``z_e``. ``z_q`` carries the exact codeword
+    values forward and the straight-through gradient back to ``z_e``.
     """
     if alpha < 0 or beta < 0:
         raise ConfigError(f"loss weights must be nonnegative, got alpha={alpha} beta={beta}")
@@ -221,18 +221,23 @@ def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,
     if rows.shape[0] == 0:
         raise ContractError("cannot quantize an empty batch")
     idx = nearest_indices(rows, codebook)
-    selected = gather_rows(codebook.embeddings, idx)
-    codebook_loss = mse(detach(z_e), selected)
-    commitment_loss = mse(z_e, detach(selected))
-    vq_loss = mul_scalar(codebook_loss + mul_scalar(commitment_loss, alpha), beta)
-    z_q = _straight_through(z_e, selected)
-    return QuantizeOutput(
-        z_q=z_q,
-        indices=idx,
-        codebook_loss=codebook_loss,
-        commitment_loss=commitment_loss,
-        vq_loss=vq_loss,
-    )
+    embeddings = codebook.embeddings
+    selected = embeddings.data[idx]
+    diff = rows - selected
+    alpha, beta, scale = float(alpha), float(beta), 2.0 / diff.size
+    m = (diff * diff).mean()
+
+    def vjp(g):
+        # each term in the arithmetic order of an mse node of its own
+        g = g * beta
+        codes = None
+        if embeddings.requires_grad:
+            codes = np.zeros_like(embeddings.data)
+            np.add.at(codes, idx, -(g * scale) * diff)
+        return ((g * alpha) * scale) * diff, codes
+
+    loss = _node("vq_loss", (m + m * alpha) * beta, (z_e, embeddings), vjp)
+    return QuantizeOutput(_straight_through(z_e, Tensor(selected)), idx, loss)
 
 
 def ema_update(codebook: Codebook, z_rows, indices, paper_form: bool = False) -> None:

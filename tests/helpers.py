@@ -1,6 +1,7 @@
-"""Shared test oracles: brute-force scans, an einsum convolution, a
-hand-rolled autoencoder, and frozen-residual surrogates for gradient
-checking through the straight-through paths."""
+"""Shared test oracles: brute-force scans, an einsum convolution, the
+VQ-VAE objective as separate graph nodes, a hand-rolled autoencoder,
+and frozen-residual surrogates for gradient checking through the
+straight-through paths."""
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from aqvq.tensor import (
     add,
     bmm,
     concat,
+    detach,
     gather_rows,
     mse,
     mul_scalar,
@@ -59,6 +61,18 @@ def reference_conv2d_3x3(x, w, b, stride, g):
             dw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, window(xp, i, j))
             window(dxp, i, j)[...] += np.einsum("bohw,oc->bchw", g, w[:, :, i, j])
     return out, dxp[:, :, 1 : 1 + height, 1 : 1 + width], dw, g.sum(axis=(0, 2, 3))
+
+
+def reference_vq_loss(z_e, codebook, alpha, beta):
+    """``beta * (codebook term + alpha * commitment term)`` of ``z_e``
+    against its nearest codewords, built from separate graph nodes: the
+    codebook term ``mse(sg[z_e], e)`` sends its gradient only to the
+    gathered codewords, the commitment term ``mse(z_e, sg[e])`` only to
+    ``z_e``."""
+    selected = gather_rows(codebook.embeddings, nearest_indices(z_e.data, codebook))
+    codebook_term = mse(detach(z_e), selected)
+    commitment_term = mse(z_e, detach(selected))
+    return mul_scalar(add(codebook_term, mul_scalar(commitment_term, alpha)), beta)
 
 
 class HandAutoencoder:

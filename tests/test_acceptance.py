@@ -146,12 +146,12 @@ class TestCriterion1GradientOracle:
         fixed_cfg = ModelConfig(input_shape=(4,), num_hiddens=6, quantizer="fixed",
                                 codebook_n=4, codebook_d=2, use_ema=False, seed=7)
         fixed_state = init_state(fixed_cfg)
-        n_params = sum(p.data.size for p in fixed_state.trainable().values())
+        n_params = sum(p.data.size for p in fixed_state.params.values())
         assert n_params <= 200
         x = RNG(101).normal(size=(4, 4))
         actual, surrogate = fixed_surrogate(fixed_state, x)
         assert abs(actual().item() - surrogate().item()) < 1e-12
-        self._check_params(actual, surrogate, fixed_state.trainable())
+        self._check_params(actual, surrogate, fixed_state.params)
 
         # full adaptive-mode loss on a two-codebook toy (196 parameters):
         # hard selection against the frozen-selection surrogate, and the
@@ -160,16 +160,16 @@ class TestCriterion1GradientOracle:
                                    quantizer="adaptive", capacity=8, num_heads=1,
                                    use_ema=False, seed=8)
         adaptive_state = init_state(adaptive_cfg)
-        n_params = sum(p.data.size for p in adaptive_state.trainable().values())
+        n_params = sum(p.data.size for p in adaptive_state.params.values())
         assert n_params <= 200
         xa = RNG(102).normal(size=(4, 3))
         actual, surrogate = adaptive_surrogate(adaptive_state, xa, tau=1.0, hard=True)
-        self._check_params(actual, surrogate, adaptive_state.trainable())
+        self._check_params(actual, surrogate, adaptive_state.params)
 
         soft_actual, soft_surrogate = adaptive_surrogate(adaptive_state, xa,
                                                          tau=1.0, hard=False)
         assert abs(soft_actual().item() - soft_surrogate().item()) < 1e-12
-        self._check_params(soft_actual, soft_surrogate, adaptive_state.trainable())
+        self._check_params(soft_actual, soft_surrogate, adaptive_state.params)
 
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0

@@ -145,6 +145,39 @@ class TestTrain:
         assert err.startswith("error: ") and "probe_size" in err
 
 
+class TestRejectedRun:
+    """A config problem found before training exits 1 with one error line
+    and leaves no resolved config behind."""
+
+    @pytest.mark.parametrize("seed,model,dataset", [
+        ("-5", {}, {}),
+        (None, {"codebook_n": 2, "codebook_d": 4}, {}),
+        (None, {"quantizer": "adaptive", "capacity": 48}, {}),
+        (None, {"quantizer": "adaptive", "num_heads": 3, "num_hiddens": 16}, {}),
+        (None, {"laplace_eps": 0.0}, {}),
+        (None, {"input_shape": [4]}, {}),
+        (None, {}, {"kind": "idx_images", "images_path": "missing.idx"}),
+    ], ids=["seed-env-negative", "codebook-n-below-d", "capacity-not-power-of-two",
+            "heads-not-dividing-hiddens", "laplace-eps-zero", "input-shape-not-dataset",
+            "idx-images-missing"])
+    def test_exits_one_without_resolved_config(self, tmp_path, run_config, monkeypatch,
+                                               capsys, seed, model, dataset):
+        if seed is not None:
+            monkeypatch.setenv("AQVQ_SEED", seed)
+        raw = json.loads(run_config.read_text())
+        raw["model"].update(model)
+        raw["dataset"].update(dataset)
+        if "images_path" in dataset:
+            raw["dataset"]["images_path"] = str(tmp_path / dataset["images_path"])
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not (out / "resolved_config.json").exists()
+
+
 class TestSweepAndAdaptive:
     def test_sweep_row_count_matches_enumeration(self, tmp_path, run_config):
         out = tmp_path / "sweep"

@@ -16,7 +16,7 @@ from aqvq.model import (
     rng_streams,
     train_step,
 )
-from aqvq.tensor import Tensor, backward, finite_difference_grad, relative_error
+from aqvq.tensor import Graph, Tensor, backward, finite_difference_grad, relative_error
 from aqvq.vq import nearest_indices
 
 RNG = np.random.default_rng
@@ -49,7 +49,6 @@ class TestConfig:
         cfg = ModelConfig(encoder_arch="small_conv", input_shape=(1, 8, 8),
                           num_hiddens=4)
         assert cfg.latent_grid == (2, 2)
-        assert cfg.positions_per_sample() == 4
 
     def test_round_trip_dict(self):
         cfg = dense_config(alpha=0.5, use_ema=False)
@@ -147,12 +146,25 @@ def _straight_through_grad_error(state, x):
     state.zero_grads()
     backward(actual())
     worst = 0.0
-    for p in state.trainable().values():
+    for p in state.params.values():
         fd = finite_difference_grad(lambda _: surrogate(), p, step=1e-6)
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         worst = max(worst, relative_error(grad, fd.data))
     state.zero_grads()
     return worst
+
+
+class TestGraphSize:
+    """Nodes of one forward_loss graph: the VQ-VAE objective is one node
+    per codebook."""
+
+    @pytest.mark.parametrize("quantizer,nodes", [("adaptive", 87), ("fixed", 26)])
+    def test_nodes_per_forward_loss(self, quantizer, nodes):
+        cfg = dense_config(input_shape=(8,), num_hiddens=16, quantizer=quantizer,
+                           codebook_n=16, codebook_d=4, capacity=64)
+        x = RNG(0).normal(size=(64, 8))
+        loss, _, _ = forward_loss(x, init_state(cfg), rng=RNG(1))
+        assert len(Graph(loss).nodes) == nodes
 
 
 class TestTrainStep:

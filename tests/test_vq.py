@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_nearest
+from helpers import brute_force_nearest, reference_vq_loss
 from aqvq import vq
 from aqvq.errors import ConfigError, ContractError, DimensionError
 from aqvq.tensor import (
@@ -17,6 +17,7 @@ from aqvq.tensor import (
     finite_difference_grad,
     matmul,
     mse,
+    mul_scalar,
     relative_error,
     straight_through,
 )
@@ -152,22 +153,19 @@ class TestQuantize:
         cb = Codebook([[1.0, 1.0], [5.0, 5.0]])
         out = quantize(Tensor([[0.9, 0.8]], requires_grad=True), cb, alpha=0.25, beta=1.0)
         assert out.indices.tolist() == [0]
-        np.testing.assert_allclose(out.codebook_loss.item(), 0.025)
-        np.testing.assert_allclose(out.commitment_loss.item(), 0.025)
-        np.testing.assert_allclose(out.vq_loss.item(), 0.03125)
+        # both terms are mean((z - e)^2) = (0.01 + 0.04) / 2 = 0.025
+        np.testing.assert_allclose(out.vq_loss.item(), 1.0 * (0.025 + 0.25 * 0.025))
 
     def test_zero_residual_zero_losses(self):
         cb = Codebook([[0.5, -0.5], [3.0, 3.0]])
         out = quantize(Tensor([[0.5, -0.5]]), cb)
-        assert out.codebook_loss.item() == 0.0
-        assert out.commitment_loss.item() == 0.0
         assert out.vq_loss.item() == 0.0
 
     def test_beta_zero_kills_vq_loss(self):
         cb = Codebook([[1.0, 1.0], [5.0, 5.0]])
         out = quantize(Tensor([[0.9, 0.8]]), cb, beta=0.0)
         assert out.vq_loss.item() == 0.0
-        assert out.codebook_loss.item() > 0.0
+        assert quantize(Tensor([[0.9, 0.8]]), cb, beta=1.0).vq_loss.item() > 0.0
 
     def test_rows_bit_identical_to_codewords(self):
         rng = RNG(7)
@@ -191,8 +189,9 @@ class TestQuantize:
         rng = RNG(8)
         cb = Codebook(rng.normal(size=(9, 4)))
         for alpha, beta in [(0.25, 1.0), (0.5, 0.2), (10.0, 5.0)]:
-            out = quantize(Tensor(rng.normal(size=(11, 4))), cb, alpha=alpha, beta=beta)
-            expected = beta * (out.codebook_loss.item() + alpha * out.commitment_loss.item())
+            z = rng.normal(size=(11, 4))
+            out = quantize(Tensor(z), cb, alpha=alpha, beta=beta)
+            expected = beta * (1.0 + alpha) * np.mean((z - cb.embeddings.data[out.indices]) ** 2)
             assert abs(out.vq_loss.item() - expected) < 1e-12
 
     def test_codebook_gradient_via_codebook_loss(self):
@@ -208,6 +207,44 @@ class TestQuantize:
         unselected = sorted(set(range(4)) - set(out.indices.tolist()))
         for j in unselected:
             np.testing.assert_array_equal(grad[j], 0.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_property_matches_separate_terms(self, data):
+        # value and both gradients bit-equal to the two mse terms as nodes
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        weight = st.sampled_from([0.0, 0.2, 0.25, 1.0, 5.0]) | st.floats(0.0, 10.0)
+        alpha = data.draw(weight, label="alpha")
+        beta = data.draw(weight, label="beta")
+        n = data.draw(st.integers(1, 6), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        t = data.draw(st.integers(1, 12), label="t")
+        trainable = data.draw(st.booleans(), label="trainable")
+        # the 1/m an adaptive pool applies, and other upstream scales
+        scale = data.draw(st.sampled_from([1.0, 1.0 / 3.0, 0.125, 2.5]), label="scale")
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        emb = rng.normal(size=(n, d)).astype(dtype)
+        rows = rng.normal(size=(t, d)).astype(dtype)
+        for src, dst in data.draw(st.lists(st.tuples(st.integers(0, t - 1),
+                                                     st.integers(0, t - 1)), max_size=4)):
+            rows[dst] = rows[src]
+
+        def run(build):
+            cb = Codebook(emb, trainable=trainable)
+            z = Tensor(rows.copy(), requires_grad=True)
+            loss = build(z, cb)
+            backward(mul_scalar(loss, scale))
+            return loss, z, cb
+
+        loss, z, cb = run(lambda z, cb: quantize(z, cb, alpha=alpha, beta=beta).vq_loss)
+        ref, z_ref, cb_ref = run(lambda z, cb: reference_vq_loss(z, cb, alpha, beta))
+        assert loss.data.dtype == ref.data.dtype == dtype
+        assert np.array_equal(loss.data, ref.data)
+        assert np.array_equal(z.grad, z_ref.grad)
+        if trainable:
+            assert np.array_equal(cb.embeddings.grad, cb_ref.embeddings.grad)
+        else:
+            assert cb.embeddings.grad is None and cb_ref.embeddings.grad is None
 
 
 class TestStraightThroughOp:
