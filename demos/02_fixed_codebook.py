@@ -24,10 +24,10 @@ print(f"vq loss {out.vq_loss.item():.4f}")
 # EMA pulls each codeword toward the mean of its assigned points.
 batch = np.vstack([rng.normal(loc=(2, 2), scale=0.1, size=(16, 2)),
                    rng.normal(loc=(-2, -2), scale=0.1, size=(16, 2))])
-cb = Codebook(rng.normal(size=(2, 2)), gamma=0.99)
+cb = Codebook(rng.normal(size=(2, 2)))
 for step in range(600):
     idx = nearest_indices(batch, cb)
-    ema_update(cb, batch, idx)
+    ema_update(cb, batch, idx, gamma=0.99, laplace_eps=1e-5)
 print("codewords after EMA:", np.round(cb.embeddings.data, 3).tolist())
 print("cluster means:      ", np.round([batch[:16].mean(0), batch[16:].mean(0)], 3).tolist())
 

@@ -36,7 +36,7 @@ print(f"implied optimal codebook size: {optimal_n(fit.model):.1f}")
 
 # The model itself is exactly symmetric around its optimum.
 from aqvq.analysis import AnalyticModel
-toy = AnalyticModel(var_v=4.0, complexity_k=1.0, dim_const_a=1.0, capacity_b=1.0)
+toy = AnalyticModel(var_v=4.0, dim_const_a=1.0)
 print(f"\ntoy model: optimum at n={optimal_n(toy):.0f}, "
       f"loss {analytic_loss(1, toy):.0f} at n=1, {analytic_loss(2, toy):.0f} at n=2, "
       f"{analytic_loss(4, toy):.0f} at n=4")

@@ -26,9 +26,11 @@ from .tensor import (
     concat,
     matmul,
     mul_scalar,
+    normal_param,
     reshape,
     softmax,
     transpose,
+    zeros_param,
 )
 from .tensor import straight_through as _straight_through
 from .tensor import affine
@@ -67,27 +69,14 @@ class CodebookPool:
     logits by a learned output map. With ``scores_qk_only`` the values
     are dropped and the raw per-head compatibility scores are averaged
     instead (with identity projections and one head this reduces to
-    q . k / sqrt(H)).
+    q . k / sqrt(H)). The constructor draws from ``rng`` the layers in
+    ``specs`` order, then ``keys``, ``values``, each head's ``wq``, each
+    head's ``wk``, each head's ``wv``, and ``w_out``.
     """
 
-    def __init__(self, quantizers, keys, values, wq, wk, wv, w_out, b_out,
-                 num_heads: int, scores_qk_only: bool = False):
-        self.quantizers: list[QuantizerLayer] = list(quantizers)
-        self.keys = keys
-        self.values = values
-        self.wq = list(wq)  # one H x (H/heads) map per head
-        self.wk = list(wk)
-        self.wv = list(wv)
-        self.w_out = w_out  # H x m
-        self.b_out = b_out
-        self.num_heads = num_heads
-        self.scores_qk_only = scores_qk_only
-
-    @classmethod
-    def create(cls, specs, num_hiddens: int, rng: np.random.Generator,
-               num_heads: int = 2, gamma: float = 0.99, laplace_eps: float = 1e-5,
-               trainable_codebooks: bool = False, scores_qk_only: bool = False,
-               dtype=np.float64) -> "CodebookPool":
+    def __init__(self, specs, num_hiddens: int, rng: np.random.Generator,
+                 num_heads: int = 2, trainable_codebooks: bool = False,
+                 scores_qk_only: bool = False, dtype=np.float64):
         specs = list(specs)
         if not specs:
             raise ConfigError("codebook pool needs at least one structure")
@@ -95,29 +84,19 @@ class CodebookPool:
             raise ConfigError(
                 f"num_heads={num_heads} must divide num_hiddens={num_hiddens}"
             )
-        m = len(specs)
-        quantizers = [
-            QuantizerLayer.create(spec, num_hiddens, rng, gamma=gamma,
-                                  laplace_eps=laplace_eps,
-                                  trainable_codebook=trainable_codebooks, dtype=dtype)
-            for spec in specs
-        ]
-        scale = 1.0 / np.sqrt(num_hiddens)
-
-        def param(*shape):
-            return Tensor(rng.normal(0.0, scale, size=shape).astype(dtype),
-                          requires_grad=True)
-
-        keys = param(m, num_hiddens)
-        values = param(m, num_hiddens)
-        head_dim = num_hiddens // num_heads
-        wq = [param(num_hiddens, head_dim) for _ in range(num_heads)]
-        wk = [param(num_hiddens, head_dim) for _ in range(num_heads)]
-        wv = [param(num_hiddens, head_dim) for _ in range(num_heads)]
-        w_out = param(num_hiddens, m)
-        b_out = Tensor(np.zeros(m, dtype=dtype), requires_grad=True)
-        return cls(quantizers, keys, values, wq, wk, wv, w_out, b_out,
-                   num_heads=num_heads, scores_qk_only=scores_qk_only)
+        m, h = len(specs), num_hiddens
+        self.quantizers = [QuantizerLayer(spec, h, rng, trainable_codebook=trainable_codebooks,
+                                          dtype=dtype) for spec in specs]
+        self.keys = normal_param(rng, h, (m, h), dtype)
+        self.values = normal_param(rng, h, (m, h), dtype)
+        head = (h, h // num_heads)  # one H x (H/heads) map per head
+        self.wq = [normal_param(rng, h, head, dtype) for _ in range(num_heads)]
+        self.wk = [normal_param(rng, h, head, dtype) for _ in range(num_heads)]
+        self.wv = [normal_param(rng, h, head, dtype) for _ in range(num_heads)]
+        self.w_out = normal_param(rng, h, (h, m), dtype)  # H x m
+        self.b_out = zeros_param(m, dtype)
+        self.num_heads = num_heads
+        self.scores_qk_only = scores_qk_only
 
     @property
     def m(self) -> int:
@@ -222,8 +201,6 @@ def adaptive_forward(z_e: Tensor, pool: CodebookPool, tau: float,
     The loss is the mean of the m per-codebook vq losses; ``counts``
     holds the hard selections per codebook.
     """
-    if pool.m == 0:
-        raise ConfigError("cannot quantize with an empty codebook pool")
     if z_e.data.ndim != 2:
         raise DimensionError(f"adaptive quantization expects T x H rows, got {z_e.data.shape}")
     t_rows = z_e.data.shape[0]

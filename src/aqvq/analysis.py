@@ -30,15 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyticModel:
-    """Positive constants of the capacity model L(n) = V/n + a*k*n/b."""
+    """Positive constants of the capacity model L(n) = V/n + a*n."""
 
     var_v: float          # data variance driving the quantization term
-    complexity_k: float   # intrinsic data complexity
     dim_const_a: float    # representation penalty per lost dimension
-    capacity_b: float     # total capacity constant tying n to d
 
     def __post_init__(self):
-        for name in ("var_v", "complexity_k", "dim_const_a", "capacity_b"):
+        for name in ("var_v", "dim_const_a"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be strictly positive")
 
@@ -76,24 +74,21 @@ def gradient_gap(x, state: TrainState, tau: float = 1.0, target=None) -> float:
 
 
 def analytic_loss(n: float, model: AnalyticModel) -> float:
-    """Capacity-model loss V/n + a*k*n/b at codebook size ``n``."""
+    """Capacity-model loss V/n + a*n at codebook size ``n``."""
     if n <= 0:
         raise DomainError(f"codebook size must be positive, got {n}")
-    return model.var_v / n + model.dim_const_a * model.complexity_k * n / model.capacity_b
+    return model.var_v / n + model.dim_const_a * n
 
 
 def optimal_n(model: AnalyticModel) -> float:
-    """Minimizer of the capacity-model loss: sqrt(V*b / (a*k))."""
-    return float(np.sqrt(model.var_v * model.capacity_b
-                         / (model.dim_const_a * model.complexity_k)))
+    """Minimizer of the capacity-model loss: sqrt(V / a)."""
+    return float(np.sqrt(model.var_v / model.dim_const_a))
 
 
 def fit_analytic(pairs) -> FitResult:
     """Least-squares fit of V and a in L(n) = V/n + a*n from (n, loss) pairs.
 
-    The complexity and capacity constants are fixed at 1: the model is
-    only identifiable up to the two fitted products. Requires at least
-    three distinct sizes.
+    Requires at least three distinct sizes.
     """
     pairs = [(float(n), float(loss)) for n, loss in pairs]
     sizes = np.array([p[0] for p in pairs])
@@ -111,6 +106,5 @@ def fit_analytic(pairs) -> FitResult:
             "the data does not follow the capacity model"
         )
     residual = float(np.sqrt(np.mean((design @ coeffs - losses) ** 2)))
-    model = AnalyticModel(var_v=var_v, complexity_k=1.0, dim_const_a=dim_const_a,
-                          capacity_b=1.0)
-    return FitResult(model=model, residual=residual)
+    return FitResult(model=AnalyticModel(var_v=var_v, dim_const_a=dim_const_a),
+                     residual=residual)

@@ -1,7 +1,8 @@
 """Command-line surface: training, sweeps, ablations, analysis, reports.
 
-Every run writes its fully resolved configuration next to its outputs;
-rerunning from that file reproduces the results bit for bit. The
+Every completed run writes its fully resolved configuration next to its
+outputs, and a run that fails writes none; rerunning from that file
+reproduces the results bit for bit. The
 ``AQVQ_SEED`` environment variable overrides the configured seed.
 ``adaptive`` is ``train`` with the quantizer set to an adaptive pool of
 the given capacity.
@@ -69,9 +70,10 @@ def _read_sweep_pairs(path: str) -> list:
 
 def _prepare(args):
     """Resolve the run config, build the model config and dataset, and
-    only then write the config next to the outputs, so a rejected run
-    leaves none behind. ``adaptive`` sets the quantizer to a pool of
-    ``--capacity``; ``AQVQ_SEED`` overrides both seeds."""
+    create the output directory; the commands write the resolved config
+    there together with their other outputs, after training, so a run
+    that fails leaves no file behind. ``adaptive`` sets the quantizer to
+    a pool of ``--capacity``; ``AQVQ_SEED`` overrides both seeds."""
     resolved = resolve_run_config({} if args.config is None
                                   else read_json(args.config, "config file"))
     if args.command == "adaptive":
@@ -89,7 +91,6 @@ def _prepare(args):
                           f"dataset samples shaped {list(dataset.sample_shape)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "resolved_config.json", resolved, sort_keys=True)
     return resolved, out, model, dataset
 
 
@@ -114,6 +115,7 @@ def _cmd_train(args) -> int:
         print(f"trained to step {state.step}; "
               f"final validation recon sum {summary['final_val_recon_sum']:.6f} "
               f"(config {summary['config_hash'][:12]})")
+    write_json(out / "resolved_config.json", resolved, sort_keys=True)
     save_checkpoint(state, out / "checkpoint.json",
                     dataset=DatasetSource.from_dict(resolved["dataset"]))
     return 0
@@ -125,6 +127,7 @@ def _run_cells(args, name: str, make_cells, row, columns) -> list:
     to <name>.csv."""
     resolved, out, config, dataset = _prepare(args)
     rows = [row(t) for t in run_trials(dataset, make_cells(config), **resolved["train"])]
+    write_json(out / "resolved_config.json", resolved, sort_keys=True)
     write_json(out / f"{name}.json", rows)
     write_csv(out / f"{name}.csv", columns, rows)
     return rows

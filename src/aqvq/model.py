@@ -27,10 +27,12 @@ from .tensor import (
     conv2d_3x3,
     mse,
     mul_scalar,
+    normal_param,
     relu,
     reshape,
     transpose,
     upsample2x,
+    zeros_param,
 )
 from .vq import CodebookSpec, QuantizerLayer, QuantResult, ema_update
 from .vq import quantize as vq_quantize
@@ -163,15 +165,6 @@ def rng_streams(seed: int) -> dict:
     }
 
 
-def _weight(rng, fan_in: int, shape, dtype) -> Tensor:
-    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape).astype(dtype),
-                  requires_grad=True)
-
-
-def _zeros(shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
 def init_state(config: ModelConfig, rng: np.random.Generator | None = None) -> TrainState:
     """Build parameters and quantizer for ``config`` (seeded by its seed)."""
     rng = rng or rng_streams(config.seed)["init"]
@@ -181,39 +174,35 @@ def init_state(config: ModelConfig, rng: np.random.Generator | None = None) -> T
 
     if config.encoder_arch == "dense":
         m = config.input_shape[0]
-        params["enc.w1"] = _weight(rng, m, (m, h), dtype)
-        params["enc.b1"] = _zeros(h, dtype)
-        params["enc.w2"] = _weight(rng, h, (h, h), dtype)
-        params["enc.b2"] = _zeros(h, dtype)
-        params["dec.w1"] = _weight(rng, h, (h, h), dtype)
-        params["dec.b1"] = _zeros(h, dtype)
-        params["dec.w2"] = _weight(rng, h, (h, m), dtype)
-        params["dec.b2"] = _zeros(m, dtype)
+        params["enc.w1"] = normal_param(rng, m, (m, h), dtype)
+        params["enc.b1"] = zeros_param(h, dtype)
+        params["enc.w2"] = normal_param(rng, h, (h, h), dtype)
+        params["enc.b2"] = zeros_param(h, dtype)
+        params["dec.w1"] = normal_param(rng, h, (h, h), dtype)
+        params["dec.b1"] = zeros_param(h, dtype)
+        params["dec.w2"] = normal_param(rng, h, (h, m), dtype)
+        params["dec.b2"] = zeros_param(m, dtype)
     else:
         c = config.input_shape[0]
-        params["enc.conv1.w"] = _weight(rng, c * 9, (h, c, 3, 3), dtype)
-        params["enc.conv1.b"] = _zeros(h, dtype)
-        params["enc.conv2.w"] = _weight(rng, h * 9, (h, h, 3, 3), dtype)
-        params["enc.conv2.b"] = _zeros(h, dtype)
-        params["dec.conv1.w"] = _weight(rng, h * 9, (h, h, 3, 3), dtype)
-        params["dec.conv1.b"] = _zeros(h, dtype)
-        params["dec.conv2.w"] = _weight(rng, h * 9, (c, h, 3, 3), dtype)
-        params["dec.conv2.b"] = _zeros(c, dtype)
+        params["enc.conv1.w"] = normal_param(rng, c * 9, (h, c, 3, 3), dtype)
+        params["enc.conv1.b"] = zeros_param(h, dtype)
+        params["enc.conv2.w"] = normal_param(rng, h * 9, (h, h, 3, 3), dtype)
+        params["enc.conv2.b"] = zeros_param(h, dtype)
+        params["dec.conv1.w"] = normal_param(rng, h * 9, (h, h, 3, 3), dtype)
+        params["dec.conv1.b"] = zeros_param(h, dtype)
+        params["dec.conv2.w"] = normal_param(rng, h * 9, (c, h, 3, 3), dtype)
+        params["dec.conv2.b"] = zeros_param(c, dtype)
 
     quantizer = None
     codebooks: list = []
     if config.quantizer == "fixed":
         spec = CodebookSpec(config.codebook_n, config.codebook_d)
-        quantizer = QuantizerLayer.create(
-            spec, h, rng, gamma=config.gamma, laplace_eps=config.laplace_eps,
-            trainable_codebook=not config.use_ema, dtype=dtype,
-        )
+        quantizer = QuantizerLayer(spec, h, rng, trainable_codebook=not config.use_ema, dtype=dtype)
         codebooks = [quantizer.codebook]
         params.update(quantizer.parameters(prefix="q."))
     elif config.quantizer == "adaptive":
-        quantizer = CodebookPool.create(
+        quantizer = CodebookPool(
             enumerate_structures(config.capacity), h, rng, num_heads=config.num_heads,
-            gamma=config.gamma, laplace_eps=config.laplace_eps,
             trainable_codebooks=not config.use_ema, scores_qk_only=config.scores_qk_only,
             dtype=dtype,
         )
@@ -344,7 +333,8 @@ def train_step(x, state: TrainState, tau: float = 1.0,
         _adam_update(state)
         if config.use_ema and q is not None:
             for codebook, rows, indices in q.assignments:
-                ema_update(codebook, rows, indices, paper_form=config.ema_paper_form)
+                ema_update(codebook, rows, indices, config.gamma, config.laplace_eps,
+                           paper_form=config.ema_paper_form)
     except NumericError as err:
         raise NumericError(f"step {state.step}: {err}") from err
     state.step += 1

@@ -134,6 +134,10 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
                               f"(reader expects {FORMAT_VERSION})")
     try:
         check_config("checkpoint", {k: doc[k] for k in CHECKPOINT_FIELDS}, CHECKPOINT_FIELDS)
+        for key in ("step", "adam_t"):
+            if doc[key] < 0:
+                raise CheckpointError(f"{path}: checkpoint field {key} must be nonnegative, "
+                                      f"got {doc[key]}")
         config = doc["config"]
         state = init_state(ModelConfig.from_dict(config["model"]))
         dataset = (None if config.get("dataset") is None

@@ -22,6 +22,8 @@ from .errors import ContractError, DimensionError, NumericError
 
 __all__ = [
     "Tensor",
+    "normal_param",
+    "zeros_param",
     "Graph",
     "backward",
     "finite_difference_grad",
@@ -96,6 +98,17 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(kind={self.kind!r}, shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def normal_param(rng: np.random.Generator, fan_in: int, shape, dtype) -> Tensor:
+    """Trainable weights drawn from a normal with std 1/sqrt(fan_in)."""
+    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape).astype(dtype),
+                  requires_grad=True)
+
+
+def zeros_param(shape, dtype) -> Tensor:
+    """Trainable zeros, the initial value of every bias."""
+    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
 def _node(kind: str, data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:

@@ -5,7 +5,9 @@ assigned to their nearest codeword, forwarded through a
 straight-through connection, and pulled together by a codebook and a
 commitment term, one graph node. Codewords learn either by gradient
 descent on the codebook term or by exponential-moving-average updates
-toward the vectors assigned to them.
+toward the vectors assigned to them. A codebook holds arrays only: the
+EMA decay and smoothing constants are arguments of ``ema_update``, as
+the loss weights are of ``quantize``.
 
 ``QuantizerLayer`` wraps a codebook together with the affine maps that
 carry hidden activations into and out of the codeword dimension.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, _node, affine
+from .tensor import Tensor, _node, affine, normal_param, zeros_param
 from .tensor import straight_through as _straight_through
 
 __all__ = [
@@ -60,39 +62,26 @@ class CodebookSpec:
 
 
 class Codebook:
-    """N x D codeword matrix plus EMA accumulators.
+    """N x D codeword matrix plus the EMA statistics that update it.
 
-    ``embeddings`` is a Tensor so the codebook can participate in the
-    graph (gradient-trained codebooks set ``trainable=True``). The EMA
-    accumulators start consistent with the initial codewords: cluster
-    sizes at one and sums equal to the codewords, so rows that never
-    receive assignments keep their value instead of collapsing.
+    A codebook holds arrays only: ``embeddings`` is a Tensor so the
+    codebook can participate in the graph (gradient-trained codebooks
+    set ``trainable=True``), and the EMA constants are arguments of
+    ``ema_update``. The EMA accumulators start consistent with the
+    initial codewords: cluster sizes at one and sums equal to the
+    codewords, so rows that never receive assignments keep their value
+    instead of collapsing.
     """
 
-    def __init__(self, embeddings, gamma: float = 0.99, laplace_eps: float = 1e-5,
-                 trainable: bool = False):
+    def __init__(self, embeddings, trainable: bool = False):
         arr = np.asarray(embeddings)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         if arr.ndim != 2:
             raise DimensionError(f"codebook must be a matrix, got shape {arr.shape}")
-        if not 0.0 < gamma < 1.0:
-            raise ConfigError(f"EMA decay must lie in (0,1), got {gamma}")
-        if laplace_eps <= 0:
-            raise ConfigError(f"laplace_eps must be positive, got {laplace_eps}")
         self.embeddings = Tensor(arr.copy(), requires_grad=trainable)
-        self.gamma = float(gamma)
-        self.laplace_eps = float(laplace_eps)
         self.ema_cluster_size = np.ones(arr.shape[0], dtype=np.float64)
         self.ema_embed_sum = arr.copy()
-
-    @classmethod
-    def random(cls, n: int, d: int, rng: np.random.Generator, gamma: float = 0.99,
-               laplace_eps: float = 1e-5, trainable: bool = False,
-               dtype=np.float64) -> "Codebook":
-        # std 1/sqrt(d) keeps expected codeword norm at 1 across structures
-        emb = rng.normal(0.0, 1.0 / np.sqrt(d), size=(n, d)).astype(dtype)
-        return cls(emb, gamma=gamma, laplace_eps=laplace_eps, trainable=trainable)
 
     @property
     def n(self) -> int:
@@ -240,16 +229,24 @@ def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,
     return QuantizeOutput(_straight_through(z_e, Tensor(selected)), idx, loss)
 
 
-def ema_update(codebook: Codebook, z_rows, indices, paper_form: bool = False) -> None:
+def ema_update(codebook: Codebook, z_rows, indices, gamma: float, laplace_eps: float,
+               paper_form: bool = False) -> None:
     """Move codewords toward the vectors assigned to them.
 
-    Default form: decay-weighted running counts and sums per codeword,
-    with Laplace smoothing of the cluster sizes over the batch total,
-    then ``embeddings = embed_sum / smoothed_size``. With
-    ``paper_form=True`` each assigned vector instead directly drags its
-    codeword: ``new = (1 - gamma) * old + gamma * z``, applied per
-    assigned row in order.
+    Default form: running counts and sums per codeword, each decayed by
+    ``gamma`` in (0, 1) before this batch's share ``1 - gamma`` is
+    added; the cluster sizes are Laplace-smoothed by ``laplace_eps > 0``
+    over the batch total, then ``embeddings = embed_sum /
+    smoothed_size``. With ``paper_form=True`` each assigned vector
+    instead directly drags its codeword: ``new = (1 - gamma) * old +
+    gamma * z``, applied per assigned row in order, and ``laplace_eps``
+    is unused.
     """
+    if not 0.0 < gamma < 1.0:
+        raise ConfigError(f"EMA decay must lie in (0,1), got {gamma}")
+    if laplace_eps <= 0:
+        raise ConfigError(f"laplace_eps must be positive, got {laplace_eps}")
+    gamma, laplace_eps = float(gamma), float(laplace_eps)
     z = _rows_of(z_rows)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.shape != (z.shape[0],):
@@ -259,7 +256,6 @@ def ema_update(codebook: Codebook, z_rows, indices, paper_form: bool = False) ->
         raise ContractError("assignment index out of range")
     if z.shape[1] != codebook.d:
         raise DimensionError(f"rows have dimension {z.shape[1]}, codebook has {codebook.d}")
-    gamma = codebook.gamma
     emb = codebook.embeddings.data
 
     if paper_form:
@@ -276,8 +272,8 @@ def ema_update(codebook: Codebook, z_rows, indices, paper_form: bool = False) ->
     codebook.ema_embed_sum += (1.0 - gamma) * sums
     total = codebook.ema_cluster_size.sum()
     smoothed = (
-        (codebook.ema_cluster_size + codebook.laplace_eps)
-        / (total + n_codes * codebook.laplace_eps)
+        (codebook.ema_cluster_size + laplace_eps)
+        / (total + n_codes * laplace_eps)
         * total
     )
     emb[...] = codebook.ema_embed_sum / smoothed[:, None]
@@ -289,39 +285,22 @@ class QuantizerLayer:
     ``project_in`` carries T x H hidden rows to the codeword dimension
     D, ``project_out`` carries quantized rows back to H. Both maps are
     learned; ``model.quantizer_output`` runs the full
-    project/quantize/project pipeline.
+    project/quantize/project pipeline. The constructor draws the
+    codewords, ``w_in`` and ``w_out`` from ``rng`` in that order; the
+    biases start at zero.
     """
 
-    def __init__(self, codebook: Codebook, w_in: Tensor, b_in: Tensor,
-                 w_out: Tensor, b_out: Tensor):
-        self.codebook = codebook
-        self.w_in = w_in
-        self.b_in = b_in
-        self.w_out = w_out
-        self.b_out = b_out
-
-    @classmethod
-    def create(cls, spec: CodebookSpec, num_hiddens: int, rng: np.random.Generator,
-               gamma: float = 0.99, laplace_eps: float = 1e-5,
-               trainable_codebook: bool = False, dtype=np.float64) -> "QuantizerLayer":
-        codebook = Codebook.random(spec.n, spec.d, rng, gamma=gamma,
-                                   laplace_eps=laplace_eps, trainable=trainable_codebook,
-                                   dtype=dtype)
-        w_in = rng.normal(0.0, 1.0 / np.sqrt(num_hiddens),
-                          size=(num_hiddens, spec.d)).astype(dtype)
-        w_out = rng.normal(0.0, 1.0 / np.sqrt(spec.d),
-                           size=(spec.d, num_hiddens)).astype(dtype)
-        return cls(
-            codebook=codebook,
-            w_in=Tensor(w_in, requires_grad=True),
-            b_in=Tensor(np.zeros(spec.d, dtype=dtype), requires_grad=True),
-            w_out=Tensor(w_out, requires_grad=True),
-            b_out=Tensor(np.zeros(num_hiddens, dtype=dtype), requires_grad=True),
-        )
-
-    @property
-    def spec(self) -> CodebookSpec:
-        return CodebookSpec(self.codebook.n, self.codebook.d)
+    def __init__(self, spec: CodebookSpec, num_hiddens: int, rng: np.random.Generator,
+                 trainable_codebook: bool = False, dtype=np.float64):
+        self.spec = spec
+        # std 1/sqrt(d) keeps expected codeword norm at 1 across structures
+        self.codebook = Codebook(
+            rng.normal(0.0, 1.0 / np.sqrt(spec.d), size=(spec.n, spec.d)).astype(dtype),
+            trainable=trainable_codebook)
+        self.w_in = normal_param(rng, num_hiddens, (num_hiddens, spec.d), dtype)
+        self.b_in = zeros_param(spec.d, dtype)
+        self.w_out = normal_param(rng, spec.d, (spec.d, num_hiddens), dtype)
+        self.b_out = zeros_param(num_hiddens, dtype)
 
     def project_in(self, hidden: Tensor) -> Tensor:
         return affine(hidden, self.w_in, self.b_in)

@@ -283,13 +283,13 @@ class TestCriterion5GumbelCorrectness:
 class TestCriterion6EmaConvergence:
     def test_ema_convergence(self):
         rng = RNG(600)
-        cb = Codebook(rng.normal(size=(4, 3)), gamma=0.99)
+        cb = Codebook(rng.normal(size=(4, 3)))
         z = rng.normal(size=(32, 3))
         idx = np.repeat(np.arange(4), 8)
         means = np.stack([z[idx == j].mean(axis=0) for j in range(4)])
         steps = 0
         for steps in range(1, 5001):
-            ema_update(cb, z, idx)
+            ema_update(cb, z, idx, gamma=0.99, laplace_eps=1e-5)
             if np.abs(cb.embeddings.data - means).max() < 1e-6:
                 break
         err = np.abs(cb.embeddings.data - means).max()
@@ -300,8 +300,7 @@ class TestCriterion6EmaConvergence:
 
 class TestCriterion7AnalyticModel:
     def test_analytic_model(self):
-        model = AnalyticModel(var_v=4.0, complexity_k=1.0, dim_const_a=1.0,
-                              capacity_b=1.0)
+        model = AnalyticModel(var_v=4.0, dim_const_a=1.0)
         assert optimal_n(model) == 2.0
 
         n_star = optimal_n(model)

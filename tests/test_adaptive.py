@@ -47,7 +47,7 @@ class TestEnumerateStructures:
 
 
 def _pool(w, hiddens, rng, **kw):
-    return CodebookPool.create(enumerate_structures(w), hiddens, rng, **kw)
+    return CodebookPool(enumerate_structures(w), hiddens, rng, **kw)
 
 
 class TestAttentionLogits:
@@ -91,6 +91,10 @@ class TestAttentionLogits:
     def test_heads_must_divide_width(self):
         with pytest.raises(ConfigError):
             _pool(8, 5, RNG(6), num_heads=2)
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ConfigError, match="at least one structure"):
+            CodebookPool([], 4, RNG(6))
 
 
 class TestGumbelSoftmax:

@@ -98,13 +98,13 @@ class TestGradientGapAffineDecoder:
 
 class TestAnalyticModel:
     def test_loss_substitution(self):
-        model = AnalyticModel(var_v=4.0, complexity_k=1.0, dim_const_a=1.0, capacity_b=1.0)
+        model = AnalyticModel(var_v=4.0, dim_const_a=1.0)
         assert analytic_loss(2.0, model) == 4.0
         assert analytic_loss(1.0, model) == 5.0
         assert analytic_loss(4.0, model) == 5.0
 
     def test_positive_domain(self):
-        model = AnalyticModel(4.0, 1.0, 1.0, 1.0)
+        model = AnalyticModel(4.0, 1.0)
         with pytest.raises(DomainError):
             analytic_loss(0.0, model)
         with pytest.raises(DomainError):
@@ -112,26 +112,26 @@ class TestAnalyticModel:
 
     def test_fields_strictly_positive(self):
         with pytest.raises(DomainError):
-            AnalyticModel(0.0, 1.0, 1.0, 1.0)
+            AnalyticModel(0.0, 1.0)
 
     def test_optimal_n_substitution(self):
-        model = AnalyticModel(4.0, 1.0, 1.0, 1.0)
+        model = AnalyticModel(4.0, 1.0)
         assert optimal_n(model) == 2.0
 
     def test_optimal_scales_with_sqrt_variance(self):
-        base = AnalyticModel(4.0, 1.0, 1.0, 1.0)
-        scaled = AnalyticModel(16.0, 1.0, 1.0, 1.0)
+        base = AnalyticModel(4.0, 1.0)
+        scaled = AnalyticModel(16.0, 1.0)
         assert optimal_n(scaled) == 2.0 * optimal_n(base)
 
     def test_stationary_at_optimum(self):
-        model = AnalyticModel(var_v=3.7, complexity_k=2.0, dim_const_a=0.6, capacity_b=5.0)
+        model = AnalyticModel(var_v=3.7, dim_const_a=0.6 * 2.0 / 5.0)
         n_star = optimal_n(model)
         h = 1e-4
         derivative = (analytic_loss(n_star + h, model) - analytic_loss(n_star - h, model)) / (2 * h)
         assert abs(derivative) < 1e-6
 
     def test_convex_with_unique_minimum(self):
-        model = AnalyticModel(var_v=4.0, complexity_k=1.0, dim_const_a=0.25, capacity_b=1.0)
+        model = AnalyticModel(var_v=4.0, dim_const_a=0.25)
         n_star = optimal_n(model)
         grid = np.concatenate([np.linspace(0.1, n_star, 200),
                                np.linspace(n_star, 8 * n_star, 200)])
@@ -145,7 +145,7 @@ class TestAnalyticModel:
                                                  + analytic_loss(b, model)) / 2 + 1e-12
 
     def test_loss_at_optimum_beats_neighbours(self):
-        model = AnalyticModel(var_v=2.5, complexity_k=1.3, dim_const_a=0.4, capacity_b=2.0)
+        model = AnalyticModel(var_v=2.5, dim_const_a=0.4 * 1.3 / 2.0)
         n_star = optimal_n(model)
         best = analytic_loss(n_star, model)
         assert best <= analytic_loss(n_star / 2, model)
@@ -154,20 +154,19 @@ class TestAnalyticModel:
 
 class TestFitAnalytic:
     def test_exact_round_trip(self):
-        truth = AnalyticModel(var_v=4.0, complexity_k=1.0, dim_const_a=1.0, capacity_b=1.0)
+        truth = AnalyticModel(var_v=4.0, dim_const_a=1.0)
         pairs = [(n, analytic_loss(n, truth)) for n in (1.0, 2.0, 4.0)]
         result = fit_analytic(pairs)
         assert abs(result.model.var_v - 4.0) < 1e-8
         assert abs(result.model.dim_const_a - 1.0) < 1e-8
         assert result.residual < 1e-10
-        assert result.model.complexity_k == 1.0 and result.model.capacity_b == 1.0
 
     def test_constant_data_reports_large_residual(self):
         result = fit_analytic([(1.0, 3.0), (2.0, 3.0), (4.0, 3.0), (8.0, 3.0)])
         assert result.residual > 0.1  # nowhere near the exact-fit scale
 
     def test_noise_perturbs_fit_proportionally(self):
-        truth = AnalyticModel(var_v=4.0, complexity_k=1.0, dim_const_a=1.0, capacity_b=1.0)
+        truth = AnalyticModel(var_v=4.0, dim_const_a=1.0)
         sizes = (1.0, 2.0, 4.0, 8.0)
         rng = RNG(6)
         sigma = 1e-3

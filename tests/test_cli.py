@@ -134,6 +134,7 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and len(err.strip().splitlines()) == 1
+        assert list((tmp_path / "o").glob("*")) == []
 
     def test_gradient_gap_needs_a_probe(self, tmp_path, run_config, capsys):
         raw = json.loads(run_config.read_text())
@@ -176,6 +177,36 @@ class TestRejectedRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (out / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("case", ["resume-other-model", "resume-missing-checkpoint",
+                                      "ablate-capacity-48", "train-steps-zero",
+                                      "sweep-steps-zero"])
+    def test_rejected_after_prepare_leaves_no_file(self, tmp_path, run_config, capsys, case):
+        raw = json.loads(run_config.read_text())
+        command = ["train"]
+        if case == "resume-other-model":
+            first = tmp_path / "first"
+            assert cli_main(["train", "--config", str(run_config), "--out", str(first)]) == 0
+            raw["model"]["num_hiddens"] = 4
+            command += ["--resume", str(first / "checkpoint.json")]
+        elif case == "resume-missing-checkpoint":
+            command += ["--resume", str(tmp_path / "missing.json")]
+        elif case == "ablate-capacity-48":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"capacities": [48]}))
+            command = ["ablate", "--grid", str(grid)]
+        else:
+            raw["train"]["steps"] = 0
+            if case == "sweep-steps-zero":
+                command = ["sweep", "--capacity", "8"]
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli_main(command + ["--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert list(out.glob("*")) == []
 
 
 class TestSweepAndAdaptive:
@@ -411,8 +442,11 @@ class TestMalformedCheckpoint:
         _set(["arrays", "", "hex", 0], 5),
         _set(["config"], 7),
         _set(["adam_t"], 1.5),
+        _set(["step"], -100),
+        _set(["adam_t"], -1),
     ], ids=["gamma-str", "laplace-eps-list", "step-str", "arrays-int", "codebook-str",
-            "shape-str", "hex-not-list", "hex-int", "config-int", "adam-t-float"])
+            "shape-str", "hex-not-list", "hex-int", "config-int", "adam-t-float",
+            "step-negative", "adam-t-negative"])
     def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, edit):
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0

@@ -309,30 +309,31 @@ class TestQuantizerTransparency:
 
 class TestEmaUpdate:
     def test_paper_form_single_vector(self):
-        cb = Codebook([[0.0, 0.0], [5.0, 5.0]], gamma=0.99)
-        ema_update(cb, np.array([[1.0, 1.0]]), np.array([0]), paper_form=True)
+        cb = Codebook([[0.0, 0.0], [5.0, 5.0]])
+        ema_update(cb, np.array([[1.0, 1.0]]), np.array([0]), gamma=0.99, laplace_eps=1e-5,
+                   paper_form=True)
         np.testing.assert_allclose(cb.embeddings.data[0], [0.99, 0.99])
         np.testing.assert_array_equal(cb.embeddings.data[1], [5.0, 5.0])
 
     def test_unassigned_row_drifts_only_by_smoothing(self):
         rng = RNG(4)
         emb = rng.normal(size=(4, 3))
-        cb = Codebook(emb.copy(), gamma=0.99)
+        cb = Codebook(emb.copy())
         z = rng.normal(size=(9, 3))
         idx = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])  # row 3 never assigned
-        ema_update(cb, z, idx)
+        ema_update(cb, z, idx, gamma=0.99, laplace_eps=1e-5)
         np.testing.assert_allclose(cb.embeddings.data[3], emb[3], rtol=1e-4)
         assert not np.array_equal(cb.embeddings.data[0], emb[0])
 
     def test_converges_to_cluster_means(self):
         # stationary assignments pull each codeword onto its cluster mean
         rng = RNG(5)
-        cb = Codebook(rng.normal(size=(4, 3)), gamma=0.99)
+        cb = Codebook(rng.normal(size=(4, 3)))
         z = rng.normal(size=(32, 3))
         idx = np.repeat(np.arange(4), 8)  # uniform counts
         means = np.stack([z[idx == j].mean(axis=0) for j in range(4)])
         for _ in range(2000):
-            ema_update(cb, z, idx)
+            ema_update(cb, z, idx, gamma=0.99, laplace_eps=1e-5)
         np.testing.assert_allclose(cb.embeddings.data, means, atol=1e-6)
 
     def test_cluster_sizes_stay_nonnegative_and_finite(self):
@@ -341,27 +342,38 @@ class TestEmaUpdate:
         for _ in range(50):
             z = rng.normal(size=(7, 2))
             idx = rng.integers(0, 3, size=7)
-            ema_update(cb, z, idx)
+            ema_update(cb, z, idx, gamma=0.99, laplace_eps=1e-5)
         assert (cb.ema_cluster_size >= 0).all()
         assert np.isfinite(cb.embeddings.data).all()
 
     def test_index_range_checked(self):
         cb = Codebook(np.zeros((2, 2)))
         with pytest.raises(ContractError):
-            ema_update(cb, np.ones((1, 2)), np.array([5]))
+            ema_update(cb, np.ones((1, 2)), np.array([5]), gamma=0.99, laplace_eps=1e-5)
+
+    @pytest.mark.parametrize("gamma, laplace_eps", [
+        (0.0, 1e-5), (1.0, 1e-5), (-0.5, 1e-5), (1.5, 1e-5), (0.99, 0.0), (0.99, -1e-5),
+    ])
+    @pytest.mark.parametrize("paper_form", [False, True])
+    def test_constants_range_checked(self, gamma, laplace_eps, paper_form):
+        cb = Codebook([[0.0, 0.0], [5.0, 5.0]])
+        with pytest.raises(ConfigError):
+            ema_update(cb, np.ones((1, 2)), np.array([0]), gamma=gamma,
+                       laplace_eps=laplace_eps, paper_form=paper_form)
+        np.testing.assert_array_equal(cb.embeddings.data, [[0.0, 0.0], [5.0, 5.0]])
 
 
 class TestProjections:
     def test_random_maps_are_not_inverses(self):
         rng = RNG(13)
-        layer = QuantizerLayer.create(CodebookSpec(8, 4), num_hiddens=6, rng=rng)
+        layer = QuantizerLayer(CodebookSpec(8, 4), num_hiddens=6, rng=rng)
         x = Tensor(rng.normal(size=(5, 6)))
         round_trip = layer.project_out(layer.project_in(x))
         assert not np.allclose(round_trip.data, x.data)
 
     def test_projection_gradients_match_fd(self):
         rng = RNG(14)
-        layer = QuantizerLayer.create(CodebookSpec(8, 2), num_hiddens=4, rng=rng)
+        layer = QuantizerLayer(CodebookSpec(8, 2), num_hiddens=4, rng=rng)
         x = Tensor(rng.normal(size=(6, 4)))
         target = Tensor(rng.normal(size=(6, 4)))
 
@@ -377,7 +389,7 @@ class TestProjections:
 
     def test_full_layer_pipeline(self):
         rng = RNG(15)
-        layer = QuantizerLayer.create(CodebookSpec(16, 2), num_hiddens=4, rng=rng)
+        layer = QuantizerLayer(CodebookSpec(16, 2), num_hiddens=4, rng=rng)
         x = Tensor(rng.normal(size=(10, 4)))
         out = quantize(layer.project_in(x), layer.codebook, alpha=0.25, beta=1.0)
         rows = layer.project_out(out.z_q)
