@@ -13,7 +13,6 @@ from aqvq.experiments import train_run
 from aqvq.model import ModelConfig, evaluate
 from aqvq.persist import RunReport, load_checkpoint, save_checkpoint
 
-workdir = Path(tempfile.mkdtemp(prefix="aqvq_demo_"))
 dataset = synth_dataset(DatasetSource(clusters=4, dims=8, samples=512,
                                       noise_sigma=0.05, seed=5))
 config = ModelConfig(input_shape=(8,), num_hiddens=16, quantizer="adaptive",
@@ -23,24 +22,28 @@ state, report = train_run(config, dataset, steps=150, record_every=10, gap_every
 print(f"trained {state.step} steps; "
       f"final val recon sum {report.summary['final_val_recon_sum']:.4f}")
 
-# Checkpoints store every float in hex, so reloading is exact.
-ckpt = workdir / "checkpoint.json"
-save_checkpoint(state, ckpt)
-reloaded = load_checkpoint(ckpt)
-before = evaluate(dataset.val, state)
-after = evaluate(dataset.val, reloaded)
-print(f"evaluate before save == after load: {before == after}")
+with tempfile.TemporaryDirectory(prefix="aqvq_demo_") as tmp:
+    workdir = Path(tmp)
 
-again = workdir / "checkpoint_again.json"
-save_checkpoint(reloaded, again)
-print(f"double save byte-identical: {ckpt.read_bytes() == again.read_bytes()}")
+    # Checkpoints store each array's exact bytes (base64 of its little-endian
+    # bytes), so reloading is exact.
+    ckpt = workdir / "checkpoint.json"
+    save_checkpoint(state, ckpt)
+    reloaded = load_checkpoint(ckpt)
+    before = evaluate(dataset.val, state)
+    after = evaluate(dataset.val, reloaded)
+    print(f"evaluate before save == after load: {before == after}")
 
-# Reports serialize to JSON and to CSV with identical values.
-report.to_json(workdir / "report.json")
-report.to_csv(workdir / "report.csv")
-lines = (workdir / "report.csv").read_text().splitlines()
-print(f"\nreport.csv header: {lines[0]}")
-print(f"first record:      {lines[1]}")
-print(f"round trip: {RunReport.from_json(workdir / 'report.json').records == report.records}")
-print(f"\nartifacts under {workdir}")
-print("the same flows are available from the command line; see the README")
+    again = workdir / "checkpoint_again.json"
+    save_checkpoint(reloaded, again)
+    print(f"double save byte-identical: {ckpt.read_bytes() == again.read_bytes()}")
+
+    # Reports serialize to JSON and to CSV with identical values.
+    report.to_json(workdir / "report.json")
+    report.to_csv(workdir / "report.csv")
+    lines = (workdir / "report.csv").read_text().splitlines()
+    print(f"\nreport.csv header: {lines[0]}")
+    print(f"first record:      {lines[1]}")
+    print(f"round trip: {RunReport.from_json(workdir / 'report.json').records == report.records}")
+
+print("\nthe same flows are available from the command line; see the README")

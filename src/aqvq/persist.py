@@ -1,10 +1,12 @@
 """Checkpoints, run reports, and resolved run configurations.
 
-Checkpoints are JSON documents holding one map of named arrays, every
-float in C99 hex notation, so save/load round-trips are bit-exact and a
-double save is byte-identical. Run reports collect per-step metrics and
-a summary; they serialize to JSON and to plot-ready CSV with identical
-values.
+Checkpoints (format 3) are JSON documents holding one map of named
+arrays, each stored as base64 of its C-order little-endian bytes, so
+save/load round-trips are bit-exact on any host and a double save is
+byte-identical; files of earlier formats (version 2 stored one hex
+string per float) are rejected. Run reports collect per-step metrics
+and a summary; they serialize to JSON and to plot-ready CSV with
+identical values.
 ``write_csv`` and ``write_json`` are the one table writer and the one
 document writer that checkpoints, reports, sweeps and ablations go
 through; both replace their target atomically.
@@ -12,8 +14,10 @@ through; both replace their target atomically.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -36,7 +40,7 @@ __all__ = [
     "write_json",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 TRAIN_DEFAULTS = {
     "steps": 2000,
@@ -48,16 +52,23 @@ TRAIN_DEFAULTS = {
 
 
 def _encode_array(arr: np.ndarray) -> dict:
+    little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
     return {
         "shape": list(arr.shape),
         "dtype": str(arr.dtype),
-        "hex": [float(v).hex() for v in arr.ravel()],
+        "b64": base64.b64encode(little.tobytes()).decode("ascii"),
     }
 
 
 def _decode_array(doc: dict) -> np.ndarray:
-    values = np.fromiter(map(float.fromhex, doc["hex"]), dtype=np.dtype(doc["dtype"]))
-    return values.reshape(doc["shape"])
+    """The array ``_encode_array`` stored as ``doc``: a ValueError if its
+    payload is not base64 of exactly the bytes its shape and dtype need."""
+    dtype = np.dtype(doc["dtype"]).newbyteorder("<")
+    raw = base64.b64decode(doc["b64"], validate=True)
+    expected = dtype.itemsize * math.prod(doc["shape"])
+    if len(raw) != expected:
+        raise ValueError(f"{len(raw)} bytes where its shape and dtype need {expected}")
+    return np.frombuffer(raw, dtype).reshape(doc["shape"])
 
 
 def _state_arrays(state: TrainState) -> dict:
@@ -106,20 +117,20 @@ def read_json(path, kind: str):
 
 
 CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0}
-ARRAY_FIELDS = {"shape": (0,), "dtype": "", "hex": []}
+ARRAY_FIELDS = {"shape": (0,), "dtype": "", "b64": ""}
 
 
 def _load_array(path, name: str, entry, like: np.ndarray) -> np.ndarray:
-    """Decode one stored array; it must have the shape and dtype of ``like``."""
+    """Decode one stored array; it must have the shape and dtype of ``like``,
+    so its payload must decode to exactly ``like.nbytes`` bytes."""
     check_config(name, entry, ARRAY_FIELDS)
-    if (entry["shape"] != list(like.shape) or like.dtype != entry["dtype"]
-            or len(entry["hex"]) != like.size):
+    if entry["shape"] != list(like.shape) or like.dtype != entry["dtype"]:
         raise CheckpointError(f"{path}: {name} does not have the model's shape "
                               f"{list(like.shape)} and dtype {like.dtype}")
     try:
         return _decode_array(entry)
-    except (TypeError, ValueError) as err:  # a value that is not a hex float string
-        raise CheckpointError(f"{path}: {name} holds a value that is not a hex float") from err
+    except ValueError as err:  # not base64 (binascii.Error), or the wrong byte count
+        raise CheckpointError(f"{path}: {name} has a bad payload: {err}") from err
 
 
 def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:

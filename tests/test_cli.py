@@ -1,7 +1,12 @@
 """Command-line surface: subcommands, exit codes, seed override, and
 bit-exact reproduction from the resolved config."""
 
+import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from aqvq.cli import cli_main
 
 RNG = np.random.default_rng
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -417,6 +423,28 @@ class TestArgumentErrors:
         assert "aqvq" in capsys.readouterr().out
 
 
+class TestModuleRun:
+    """``python -m aqvq.cli`` runs the same command line as the ``aqvq`` script."""
+
+    @staticmethod
+    def _run(*args):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        return subprocess.run([sys.executable, "-m", "aqvq.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_help_exits_zero(self):
+        result = self._run("--help")
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: aqvq")
+
+    def test_missing_config_exits_one(self, tmp_path):
+        result = self._run("train", "--config", str(tmp_path / "missing.json"),
+                           "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+
 def _set(path, value):
     """Edit for a checkpoint document: set the entry at ``path`` (keys and
     indices; the empty string stands for the first key) to ``value``."""
@@ -426,6 +454,30 @@ def _set(path, value):
             node = node[next(iter(node)) if key == "" else key]
         node[next(iter(node)) if path[-1] == "" else path[-1]] = value
     return edit
+
+
+def _payload(edit):
+    """Edit for a checkpoint document: replace the first stored array's
+    base64 payload by ``edit(entry)``."""
+    def apply(doc):
+        entry = next(iter(doc["arrays"].values()))
+        entry["b64"] = edit(entry)
+    return apply
+
+
+def _bad_character(entry):
+    # inserted, not substituted: a decoder that skips it reads the array intact
+    return entry["b64"][:4] + "*" + entry["b64"][4:]
+
+
+def _values(entry) -> np.ndarray:
+    """The flat values of a stored array."""
+    return np.frombuffer(base64.b64decode(entry["b64"]),
+                         np.dtype(entry["dtype"]).newbyteorder("<"))
+
+
+def _one_value_short(entry):
+    return base64.b64encode(_values(entry)[:-1].tobytes()).decode("ascii")
 
 
 class TestMalformedCheckpoint:
@@ -438,14 +490,17 @@ class TestMalformedCheckpoint:
         _set(["arrays"], 5),
         _set(["arrays", "codebooks[0].ema_cluster_size"], "x"),
         _set(["arrays", "", "shape"], "x"),
-        _set(["arrays", "", "hex"], 5),
-        _set(["arrays", "", "hex", 0], 5),
+        _set(["arrays", "", "b64"], 5),
+        _payload(_bad_character),
+        _payload(_one_value_short),
+        _payload(lambda entry: [entry["b64"]]),
         _set(["config"], 7),
         _set(["adam_t"], 1.5),
         _set(["step"], -100),
         _set(["adam_t"], -1),
     ], ids=["gamma-str", "laplace-eps-list", "step-str", "arrays-int", "codebook-str",
-            "shape-str", "hex-not-list", "hex-int", "config-int", "adam-t-float",
+            "shape-str", "b64-int", "b64-bad-char",
+            "b64-one-value-short", "b64-list", "config-int", "adam-t-float",
             "step-negative", "adam-t-negative"])
     def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, edit):
         out = tmp_path / "run"
@@ -461,18 +516,24 @@ class TestMalformedCheckpoint:
         assert len(err.strip().splitlines()) == 1
 
     def test_version_one_file_is_rejected(self, tmp_path, run_config, capsys):
+        """Files of formats 1 and 2 are rejected by their version number."""
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
-        doc = json.loads((out / "checkpoint.json").read_text())
-        doc["format_version"] = 1
-        doc["params"] = doc.pop("arrays")  # version 1 kept its arrays in separate tables
-        path = tmp_path / "version1.json"
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert cli_main(["analyze", "--checkpoint", str(path), "--gradient-gap"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-        assert "version 1" in err
+        current = json.loads((out / "checkpoint.json").read_text())
+        version2 = {**current, "format_version": 2, "arrays": {
+            name: {"shape": entry["shape"], "dtype": entry["dtype"],  # one hex string a value
+                   "hex": [float(v).hex() for v in _values(entry)]}
+            for name, entry in current["arrays"].items()}}
+        version1 = {**current, "format_version": 1}
+        version1["params"] = version1.pop("arrays")  # version 1 kept its arrays in separate tables
+        for version, doc in [(1, version1), (2, version2)]:
+            path = tmp_path / f"version{version}.json"
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert cli_main(["analyze", "--checkpoint", str(path), "--gradient-gap"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+            assert f"version {version}" in err
 
     def test_checkpoint_is_read_once(self, tmp_path, run_config, monkeypatch):
         from aqvq import persist

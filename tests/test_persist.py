@@ -1,10 +1,14 @@
 """Checkpoints (bit-exact round trips, versioning) and run reports
 (schema, CSV/JSON value parity)."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aqvq.data import DatasetSource
 from aqvq.errors import CheckpointError, ConfigError, ContractError, FormatError
@@ -114,6 +118,46 @@ class TestCheckpointRoundTrip:
         assert read_checkpoint(tmp_path / "bare.json")[1] is None
 
 
+# Bit patterns the codec must carry unchanged: -0.0, the smallest and largest
+# subnormals, +-inf, and NaNs with distinct signs and payloads (quiet and
+# signalling).
+SPECIAL_BITS = {
+    np.float64: [0x8000000000000000, 0x1, 0x000FFFFFFFFFFFFF, 0x7FF0000000000000,
+                 0xFFF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
+                 0xFFF8000000000123, 0x7FFDEADBEEF00000],
+    np.float32: [0x80000000, 0x1, 0x007FFFFF, 0x7F800000, 0xFF800000, 0x7FC00000,
+                 0x7F800001, 0xFFC00123, 0x7FBEEF00],
+}
+
+
+@st.composite
+def float_arrays(draw):
+    """A float32 or float64 array of 1-3 dims from arbitrary bit patterns,
+    the special ones above oversampled; sometimes a transposed view."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    bits = np.dtype(dtype).itemsize * 8
+    uint = np.dtype(f"uint{bits}")
+    elements = st.sampled_from(SPECIAL_BITS[dtype]) | st.integers(0, 2 ** bits - 1)
+    shape = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)
+    arr = draw(hnp.arrays(uint, shape, elements=elements)).view(dtype)
+    return arr.T if draw(st.booleans()) else arr
+
+
+class TestArrayCodec:
+    @settings(deadline=None, max_examples=300)
+    @given(arr=float_arrays())
+    def test_bytes_round_trip_little_endian(self, arr):
+        doc = persist._encode_array(arr)
+        decoded = persist._decode_array(doc)
+        assert decoded.shape == arr.shape and decoded.dtype == arr.dtype.newbyteorder("<")
+        assert decoded.astype(arr.dtype).tobytes() == arr.tobytes()
+        little = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+        assert doc["b64"] == base64.b64encode(little).decode("ascii")
+        big = arr.astype(arr.dtype.newbyteorder(">"))
+        assert persist._encode_array(big)["b64"] == doc["b64"]
+        assert persist._encode_array(arr) == doc
+
+
 class TestCheckpointErrors:
     def test_version_mismatch(self, tmp_path):
         state = trained_state()
@@ -149,11 +193,24 @@ class TestCheckpointErrors:
         save_checkpoint(trained_state(), path)
         doc = json.loads(path.read_text())
         entry = doc["arrays"]["params[enc.w1]"]
-        entry["shape"], entry["hex"] = [2, 2], entry["hex"][:4]
+        first_four = base64.b64decode(entry["b64"])[:4 * 8]
+        entry["shape"], entry["b64"] = [2, 2], base64.b64encode(first_four).decode("ascii")
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert "enc.w1" in str(err.value)
+
+    @pytest.mark.parametrize("payload", [5, "*" * 12, "AAAAAAAAAAA="],
+                             ids=["not-a-string", "not-base64", "one-value"])
+    def test_bad_payload_names_entry(self, tmp_path, payload):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(), path)
+        doc = json.loads(path.read_text())
+        doc["arrays"]["params[enc.w1]"]["b64"] = payload
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "params[enc.w1]" in str(err.value)
 
     def test_unknown_adam_key_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
