@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, _node, affine, normal_param, zeros_param
+from .tensor import Tensor, _check_finite, _node, affine, normal_param, zeros_param
 from .tensor import straight_through as _straight_through
 
 __all__ = [
@@ -130,7 +130,8 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
     Squared distances are ``(|z|^2 - 2 z.e) + |e|^2``, computed for one
     tile of codewords at a time into a single reused T x width buffer of
     about TILE_ELEMENTS doubles. Tiles are merged with a strict ``<``,
-    so an earlier tile keeps a tie.
+    so an earlier tile keeps a tie. Rows holding NaN or inf raise
+    ``NumericError``.
 
     Every tile has the same width, a whole multiple of PANEL codewords;
     the last one is padded with zero codewords whose ``|e|^2`` is
@@ -141,6 +142,10 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
     win. ``TestNearestIndices::test_duplicate_codewords_go_to_lowest_index``
     pins the rule. For D == 1 the products come from ``np.multiply``,
     which forms the same exact products far faster than a K=1 matmul.
+
+    A finite D == 1 codebook that needs more than one tile is searched
+    in sorted order instead, with the same result (see
+    ``_nearest_sorted``).
     """
     z = _rows_of(z_rows)
     emb = codebook.embeddings.data
@@ -151,9 +156,14 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
     rows, (n, d) = z.shape[0], emb.shape
     if n == 0:
         raise ContractError("codebook has no codewords")
+    _check_finite(z, "nearest_indices rows")
     width = max(PANEL, TILE_ELEMENTS // max(rows, 1) // PANEL * PANEL)
     width = min(width, -(-n // PANEL) * PANEL)
     padded = -(-n // width) * width
+    if d == 1 and padded > width and rows:
+        best = _nearest_sorted(z[:, 0], emb[:, 0])
+        if best is not None:
+            return best
     code_sq = np.full(padded, np.inf, dtype=emb.dtype)
     code_sq[:n] = (emb * emb).sum(axis=1)
     row_sq = (z * z).sum(axis=1)[:, None]
@@ -191,6 +201,58 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
             best[closer] = idx[closer] + start
             best_d2[closer] = d2[closer]
     return best
+
+
+def _nearest_sorted(z: np.ndarray, codes: np.ndarray) -> np.ndarray | None:
+    """``nearest_indices`` of scalar rows ``z`` against scalar codewords.
+
+    The codewords are sorted once and each row's bracketing pair gives
+    ``best``, its exact distance to the nearest codeword. The dense
+    scan's score of a codeword at exact distance ``r`` from row ``z``
+    differs from ``r^2`` by at most about ``1.5 eps (|z| + |e|)^2``
+    (the three products err by at most ``eps / 2`` times that square
+    together, and each of the two sums by as much again), plus half a
+    subnormal for each of the five roundings that underflows. A
+    codeword can therefore score at or below the nearest
+    one only if ``r^2 <= best^2 + 3 eps (|z| + max|e|)^2 + 5 tiny``.
+    The window of codewords within ``sqrt(best^2 + 16 eps (|z| +
+    max|e|)^2 + 16 tiny)`` covers that with room for the rounding of
+    the window itself, and only the window is scored, with the dense
+    expression in its dtypes. Its smallest score, lowest index first,
+    is the dense scan's pick.
+
+    ``eps`` and ``tiny`` are those of the coarser of the rows' and the
+    codebook's dtype: float64 rows against a float32 codebook still
+    round ``|e|^2`` in float32. Returns None, leaving the search to the
+    dense scan, when the codebook holds NaN or inf or a score could
+    overflow.
+    """
+    order = np.argsort(codes)
+    ordered = codes[order]
+    coarse = max(np.finfo(z.dtype), np.finfo(codes.dtype), key=lambda f: f.eps)
+    edge = np.abs(ordered[[0, -1]]).max()  # max |e|; NaN, which sorts last, if any
+    reach = float(np.abs(z).max()) + float(edge)
+    if not 4.0 * reach * reach < coarse.max:
+        return None
+    wide = np.result_type(z, codes, np.float64)
+    zw = z.astype(wide)
+    pos = np.searchsorted(ordered, zw)
+    below = ordered[np.maximum(pos - 1, 0)]
+    above = ordered[np.minimum(pos, codes.size - 1)]
+    best = np.minimum(np.abs(zw - below), np.abs(zw - above))
+    span = np.abs(zw) + edge
+    radius = np.sqrt(best * best + 16 * coarse.eps * span * span
+                     + 16 * coarse.smallest_subnormal)
+    lo = np.searchsorted(ordered, zw - radius, "left")
+    sizes = np.searchsorted(ordered, zw + radius, "right") - lo
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(z.size), sizes)
+    cand = order[np.arange(sizes.sum()) + np.repeat(lo - starts, sizes)]
+    e = codes[cand]
+    score = ((z * z)[owner] + (z * -2.0)[owner] * e) + e * e
+    low = np.minimum.reduceat(score, starts)
+    tied = score == np.repeat(low, sizes)
+    return np.minimum.reduceat(np.where(tied, cand, codes.size), starts)
 
 
 def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,
@@ -241,6 +303,13 @@ def ema_update(codebook: Codebook, z_rows, indices, gamma: float, laplace_eps: f
     instead directly drags its codeword: ``new = (1 - gamma) * old +
     gamma * z``, applied per assigned row in order, and ``laplace_eps``
     is unused.
+
+    Both forms update the codebook's arrays in place. The default form
+    never allocates an N x D temporary when the codebook has more
+    codewords than rows: it sums the batch only for the assigned
+    codewords, which gives the same bytes as adding a zero-filled N x D
+    batch except that a running sum that decays to an exact negative
+    zero keeps its sign. Rows holding NaN or inf raise ``NumericError``.
     """
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"EMA decay must lie in (0,1), got {gamma}")
@@ -256,6 +325,7 @@ def ema_update(codebook: Codebook, z_rows, indices, gamma: float, laplace_eps: f
         raise ContractError("assignment index out of range")
     if z.shape[1] != codebook.d:
         raise DimensionError(f"rows have dimension {z.shape[1]}, codebook has {codebook.d}")
+    _check_finite(z, "ema_update rows")
     emb = codebook.embeddings.data
 
     if paper_form:
@@ -263,20 +333,24 @@ def ema_update(codebook: Codebook, z_rows, indices, gamma: float, laplace_eps: f
             emb[j] = (1.0 - gamma) * emb[j] + gamma * row
         return
 
-    counts = np.bincount(idx, minlength=n_codes).astype(np.float64)
-    sums = np.zeros_like(emb)
-    np.add.at(sums, idx, z)
-    codebook.ema_cluster_size *= gamma
-    codebook.ema_cluster_size += (1.0 - gamma) * counts
-    codebook.ema_embed_sum *= gamma
-    codebook.ema_embed_sum += (1.0 - gamma) * sums
-    total = codebook.ema_cluster_size.sum()
-    smoothed = (
-        (codebook.ema_cluster_size + laplace_eps)
-        / (total + n_codes * laplace_eps)
-        * total
-    )
-    emb[...] = codebook.ema_embed_sum / smoothed[:, None]
+    # with more codewords than rows, sum the batch only for the assigned
+    # codewords: an unassigned one would add (1 - gamma) * 0 to its decayed sum
+    if n_codes > idx.size:
+        hit, slot = np.unique(idx, return_inverse=True)
+    else:
+        hit, slot = slice(None), idx
+    sums = np.zeros_like(emb[hit])
+    np.add.at(sums, slot, z)
+    cluster_size, embed_sum = codebook.ema_cluster_size, codebook.ema_embed_sum
+    cluster_size *= gamma
+    cluster_size[hit] += (1.0 - gamma) * np.bincount(slot, minlength=sums.shape[0])
+    embed_sum *= gamma
+    embed_sum[hit] += (1.0 - gamma) * sums
+    total = cluster_size.sum()
+    smoothed = cluster_size + laplace_eps
+    smoothed /= total + n_codes * laplace_eps
+    smoothed *= total
+    np.divide(embed_sum, smoothed[:, None], out=emb)
 
 
 class QuantizerLayer:

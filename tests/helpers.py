@@ -1,6 +1,7 @@
-"""Shared test oracles: brute-force scans, an einsum convolution, the
-VQ-VAE objective as separate graph nodes, a hand-rolled autoencoder,
-and frozen-residual surrogates for gradient checking through the
+"""Shared test oracles: brute-force scans, the dense distance scan, an
+einsum convolution, the VQ-VAE objective as separate graph nodes, the
+EMA update over whole N x D arrays, a hand-rolled autoencoder, and
+frozen-residual surrogates for gradient checking through the
 straight-through paths."""
 
 import numpy as np
@@ -38,6 +39,23 @@ def brute_force_nearest(z, embeddings):
     return out
 
 
+def dense_scan_nearest(z, embeddings):
+    """``nearest_indices`` of T x 1 rows against an N x 1 codebook, as one
+    T x N matrix of its distance expression.
+
+    Each entry is ``(z^2 + (-2 z) e) + e^2``: ``z^2`` and ``-2 z`` in the
+    rows' dtype, ``e^2`` in the codebook's, and the product and sums in
+    their common dtype, each one elementwise operation as in the tiled
+    scan. ``np.argmin`` takes the lowest index of the smallest entry.
+    ``z`` keeps its own dtype.
+    """
+    z = np.asarray(z)
+    embeddings = np.asarray(embeddings)
+    assert z.shape[1] == embeddings.shape[1] == 1
+    e = embeddings[:, 0]
+    return np.argmin(((z * z) + (z * -2.0) * e) + e * e, axis=1)
+
+
 def reference_conv2d_3x3(x, w, b, stride, g):
     """3x3 convolution, zero padding 1, as one einsum per tap.
 
@@ -73,6 +91,30 @@ def reference_vq_loss(z_e, codebook, alpha, beta):
     codebook_term = mse(detach(z_e), selected)
     commitment_term = mse(z_e, detach(selected))
     return mul_scalar(add(codebook_term, mul_scalar(commitment_term, alpha)), beta)
+
+
+def reference_ema_update(codebook, z_rows, indices, gamma, laplace_eps):
+    """The default-form EMA update of ``vq.ema_update`` over whole N x D
+    arrays: decay every running count and sum, add this batch's share
+    (zero for unassigned codewords), smooth the counts and divide."""
+    z = z_rows.data if isinstance(z_rows, Tensor) else np.asarray(z_rows, dtype=np.float64)
+    idx = np.asarray(indices, dtype=np.int64)
+    emb = codebook.embeddings.data
+    n_codes = emb.shape[0]
+    counts = np.bincount(idx, minlength=n_codes).astype(np.float64)
+    sums = np.zeros_like(emb)
+    np.add.at(sums, idx, z)
+    codebook.ema_cluster_size *= gamma
+    codebook.ema_cluster_size += (1.0 - gamma) * counts
+    codebook.ema_embed_sum *= gamma
+    codebook.ema_embed_sum += (1.0 - gamma) * sums
+    total = codebook.ema_cluster_size.sum()
+    smoothed = (
+        (codebook.ema_cluster_size + laplace_eps)
+        / (total + n_codes * laplace_eps)
+        * total
+    )
+    emb[...] = codebook.ema_embed_sum / smoothed[:, None]
 
 
 class HandAutoencoder:

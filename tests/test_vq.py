@@ -1,6 +1,7 @@
 """Fixed-codebook quantization: assignment, losses, straight-through,
 EMA updates, and the projection maps."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_nearest, reference_vq_loss
+from helpers import (
+    brute_force_nearest,
+    dense_scan_nearest,
+    reference_ema_update,
+    reference_vq_loss,
+)
 from aqvq import vq
-from aqvq.errors import ConfigError, ContractError, DimensionError
+from aqvq.errors import ConfigError, ContractError, DimensionError, NumericError
 from aqvq.tensor import (
     Tensor,
     backward,
@@ -146,6 +152,70 @@ class TestNearestIndices:
             d_best = float(np.dot(row - emb[best], row - emb[best]))
             assert d_pick != d_best, "an exact tie must go to the lowest index"
             assert d_pick - d_best <= 1e-9 * (row @ row + emb[pick] @ emb[pick])
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n, d", [(5, 2), (40, 1)])
+    def test_non_finite_rows_rejected(self, bad, n, d):
+        # (40, 1) with an 8-element tile takes the sorted path
+        rows = RNG(0).normal(size=(3, d))
+        rows[1, 0] = bad
+        with mock.patch.object(vq, "TILE_ELEMENTS", 8):
+            with pytest.raises(NumericError, match="nearest_indices"):
+                nearest_indices(rows, Codebook(RNG(1).normal(size=(n, d))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sorted_path_leaves_non_finite_codebook_to_dense_scan(self, bad):
+        codes = RNG(2).normal(size=40)
+        codes[7] = bad
+        assert vq._nearest_sorted(RNG(3).normal(size=4), codes) is None
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_property_sorted_path_matches_dense_scan(self, data):
+        # a 1-D codebook over several tiles takes the sorted path, whose
+        # picks must equal the dense expression's, rounding and ties included
+        kind = data.draw(st.sampled_from(["float64", "float32", "float64 rows, float32 codebook"]),
+                         label="dtypes")
+        code_dtype = np.float64 if kind == "float64" else np.float32
+        scale = data.draw(st.sampled_from([1.0, 2.0**-20, 2.0**20, 1e-22]), label="scale")
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = data.draw(st.integers(9, 200), label="n")
+        codes = (rng.normal(size=n) * scale).astype(code_dtype)
+        # runs of np.nextafter neighbours and exact duplicates
+        for _ in range(data.draw(st.integers(0, 3), label="runs")):
+            start = int(rng.integers(0, n))
+            for j in range(start + 1, min(n, start + int(rng.integers(2, 60)))):
+                step = data.draw(st.sampled_from([0, 1, 1, 3]), label="ulps")
+                codes[j] = codes[j - 1]
+                for _ in range(step):
+                    codes[j] = np.nextafter(codes[j], code_dtype(np.inf))
+        rng.shuffle(codes)
+        wide = codes.astype(np.float64)
+        ordered = np.sort(wide)
+        pairs = rng.integers(0, n - 1, size=4)
+        rows = np.concatenate([
+            wide[rng.integers(0, n, size=4)],                   # equal to a codeword
+            (ordered[pairs] + ordered[pairs + 1]) / 2,          # midpoints
+            [ordered[0] - scale, ordered[-1] + scale],          # beyond both ends
+            rng.normal(size=data.draw(st.integers(0, 6), label="extra")) * scale,
+        ])[:, None]
+        if kind == "float32":
+            rows = Tensor(rows.astype(np.float32))
+            want = dense_scan_nearest(rows.data, codes[:, None])
+        else:
+            want = dense_scan_nearest(rows, codes[:, None])
+        search, sorted_picks = vq._nearest_sorted, []
+
+        def spy(*args):
+            sorted_picks.append(search(*args))
+            return sorted_picks[-1]
+
+        with mock.patch.object(vq, "TILE_ELEMENTS", 8), \
+                mock.patch.object(vq, "_nearest_sorted", spy):
+            got = nearest_indices(rows, Codebook(codes[:, None]))
+        assert len(sorted_picks) == 1 and sorted_picks[0] is not None
+        np.testing.assert_array_equal(got, want)
 
 
 class TestQuantize:
@@ -361,6 +431,78 @@ class TestEmaUpdate:
             ema_update(cb, np.ones((1, 2)), np.array([0]), gamma=gamma,
                        laplace_eps=laplace_eps, paper_form=paper_form)
         np.testing.assert_array_equal(cb.embeddings.data, [[0.0, 0.0], [5.0, 5.0]])
+
+
+    @pytest.mark.parametrize("paper_form", [False, True])
+    @pytest.mark.parametrize("n", [3, 40])  # fewer codewords than rows, and more
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad, n, paper_form):
+        emb = RNG(0).normal(size=(n, 2))
+        cb = Codebook(emb)
+        rows = RNG(1).normal(size=(5, 2))
+        rows[2, 1] = bad
+        with pytest.raises(NumericError, match="ema_update"):
+            ema_update(cb, rows, np.arange(5) % n, gamma=0.99, laplace_eps=1e-5,
+                       paper_form=paper_form)
+        np.testing.assert_array_equal(cb.embeddings.data, emb)
+        np.testing.assert_array_equal(cb.ema_embed_sum, emb)
+        np.testing.assert_array_equal(cb.ema_cluster_size, 1.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_property_matches_whole_array_update(self, data):
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        n = data.draw(st.integers(1, 200), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        gamma = data.draw(st.sampled_from([0.99, 0.5]) | st.floats(0.01, 0.999), label="gamma")
+        laplace_eps = data.draw(st.sampled_from([1e-5, 0.1]), label="laplace_eps")
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        emb = rng.normal(size=(n, d)).astype(dtype)
+        cb, ref = Codebook(emb), Codebook(emb)
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            t = data.draw(st.integers(1, 80), label="t")
+            pattern = data.draw(st.sampled_from(["random", "repeated", "single", "every"]),
+                                label="pattern")
+            if pattern == "random":
+                idx = rng.integers(0, n, size=t)
+            elif pattern == "repeated":
+                idx = rng.choice(rng.integers(0, n, size=2), size=t)
+            elif pattern == "single":
+                idx = np.full(t, rng.integers(0, n))
+            else:
+                idx = np.concatenate([rng.permutation(n), rng.integers(0, n, size=t)])
+            rows = rng.normal(size=(idx.size, d))
+            if data.draw(st.booleans(), label="tensor_rows"):
+                rows = Tensor(rows.astype(dtype))
+            ema_update(cb, rows, idx, gamma, laplace_eps)
+            reference_ema_update(ref, rows, idx, gamma, laplace_eps)
+        for got, want in [(cb.embeddings.data, ref.embeddings.data),
+                          (cb.ema_cluster_size, ref.ema_cluster_size),
+                          (cb.ema_embed_sum, ref.ema_embed_sum)]:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_unassigned_negative_zero_sum_keeps_its_sign(self):
+        # with more codewords than rows only the assigned sums gain a batch
+        # share; the whole-array form adds +0.0 to the others, turning -0.0
+        # into +0.0
+        cb, ref = Codebook([[-0.0], [1.0], [2.0]]), Codebook([[-0.0], [1.0], [2.0]])
+        ema_update(cb, np.array([[1.5]]), np.array([1]), 0.99, 1e-5)
+        reference_ema_update(ref, np.array([[1.5]]), np.array([1]), 0.99, 1e-5)
+        np.testing.assert_array_equal(cb.ema_embed_sum, ref.ema_embed_sum)
+        assert np.signbit(cb.ema_embed_sum[0, 0]) and not np.signbit(ref.ema_embed_sum[0, 0])
+
+    def test_large_codebook_allocates_less_than_one_codebook(self):
+        rng = RNG(7)
+        cb = Codebook(rng.normal(size=(4096, 16)))
+        rows, idx = rng.normal(size=(64, 16)), rng.integers(0, 4096, size=64)
+        tracemalloc.start()
+        try:
+            ema_update(cb, rows, idx, gamma=0.99, laplace_eps=1e-5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cb.embeddings.data.nbytes
 
 
 class TestProjections:
