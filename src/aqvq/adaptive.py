@@ -109,9 +109,7 @@ class CodebookPool:
     def parameters(self, prefix: str = "pool.") -> dict:
         params = {f"{prefix}keys": self.keys, f"{prefix}values": self.values}
         for h in range(self.num_heads):
-            params[f"{prefix}wq{h}"] = self.wq[h]
-            params[f"{prefix}wk{h}"] = self.wk[h]
-            params[f"{prefix}wv{h}"] = self.wv[h]
+            params.update((f"{prefix}{name}{h}", getattr(self, name)[h]) for name in ("wq", "wk", "wv"))
         params[f"{prefix}w_out"] = self.w_out
         params[f"{prefix}b_out"] = self.b_out
         for i, q in enumerate(self.quantizers):

@@ -147,6 +147,7 @@ class TrainState:
     quantizer: object            # QuantizerLayer | CodebookPool | None
     adam_m: dict = field(default_factory=dict)
     adam_v: dict = field(default_factory=dict)
+    arena: tuple = ()            # flat (params, m, v) that the three dicts hold views of
     adam_t: int = 0
     step: int = 0
 
@@ -209,11 +210,14 @@ def init_state(config: ModelConfig, rng: np.random.Generator | None = None) -> T
         codebooks = [q.codebook for q in quantizer.quantizers]
         params.update(quantizer.parameters(prefix="pool."))
 
-    state = TrainState(config=config, params=params, codebooks=codebooks,
-                       quantizer=quantizer)
-    for name, p in state.params.items():
-        state.adam_m[name] = np.zeros_like(p.data)
-        state.adam_v[name] = np.zeros_like(p.data)
+    flat = np.concatenate([p.data.ravel() for p in params.values()])
+    state = TrainState(config=config, params=params, codebooks=codebooks, quantizer=quantizer,
+                       arena=(flat, np.zeros_like(flat), np.zeros_like(flat)))
+    end = 0
+    for name, p in params.items():
+        start, end = end, end + p.data.size
+        p.data, state.adam_m[name], state.adam_v[name] = (
+            arr[start:end].reshape(p.data.shape) for arr in state.arena)
     return state
 
 
@@ -300,20 +304,22 @@ def forward_loss(x, state: TrainState, tau: float = 1.0,
 
 
 def _adam_update(state: TrainState) -> None:
+    """One Adam step over the whole arena; a parameter without a gradient takes zeros."""
     lr = state.config.learning_rate
     state.adam_t += 1
-    t = state.adam_t
-    bias1 = 1.0 - ADAM_BETA1 ** t
-    bias2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in state.params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.adam_m[name]
-        v = state.adam_v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    bias1 = 1.0 - ADAM_BETA1 ** state.adam_t
+    bias2 = 1.0 - ADAM_BETA2 ** state.adam_t
+    flat, m, v = state.arena
+    g = np.concatenate([np.zeros(p.data.size, p.data.dtype) if p.grad is None else p.grad.ravel()
+                        for p in state.params.values()])
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    flat -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    if not np.isfinite(flat).all():
+        name = next(n for n, p in state.params.items() if not np.isfinite(p.data).all())
+        raise NumericError(f"non-finite values in parameter {name!r} after Adam update")
 
 
 def train_step(x, state: TrainState, tau: float = 1.0,

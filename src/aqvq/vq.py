@@ -383,12 +383,7 @@ class QuantizerLayer:
         return affine(quantized, self.w_out, self.b_out)
 
     def parameters(self, prefix: str = "") -> dict:
-        params = {
-            f"{prefix}w_in": self.w_in,
-            f"{prefix}b_in": self.b_in,
-            f"{prefix}w_out": self.w_out,
-            f"{prefix}b_out": self.b_out,
-        }
+        params = {f"{prefix}{name}": getattr(self, name) for name in ("w_in", "b_in", "w_out", "b_out")}
         if self.codebook.embeddings.requires_grad:
             params[f"{prefix}codebook"] = self.codebook.embeddings
         return params

@@ -1,12 +1,12 @@
 """Shared test oracles: brute-force scans, the dense distance scan, an
 einsum convolution, the VQ-VAE objective as separate graph nodes, the
-EMA update over whole N x D arrays, a hand-rolled autoencoder, and
-frozen-residual surrogates for gradient checking through the
-straight-through paths."""
+EMA update over whole N x D arrays, the per-parameter Adam loop, a
+hand-rolled autoencoder, and frozen-residual surrogates for gradient
+checking through the straight-through paths."""
 
 import numpy as np
 
-from aqvq.model import decode, encode, forward_loss
+from aqvq.model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, decode, encode, forward_loss
 from aqvq.tensor import (
     Tensor,
     add,
@@ -115,6 +115,25 @@ def reference_ema_update(codebook, z_rows, indices, gamma, laplace_eps):
         * total
     )
     emb[...] = codebook.ema_embed_sum / smoothed[:, None]
+
+
+def reference_adam_update(state):
+    """``model._adam_update`` as one loop over the parameters, each with
+    its own moment arrays, and a zero gradient for a parameter without one."""
+    lr = state.config.learning_rate
+    state.adam_t += 1
+    t = state.adam_t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in state.params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m = state.adam_m[name]
+        v = state.adam_v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 class HandAutoencoder:

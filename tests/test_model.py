@@ -4,10 +4,11 @@ evaluation purity, and equivalence with a hand-rolled autoencoder."""
 import numpy as np
 import pytest
 
-from helpers import HandAutoencoder, fixed_surrogate
-from aqvq.errors import ConfigError, ContractError, DimensionError
+from helpers import HandAutoencoder, fixed_surrogate, reference_adam_update
+from aqvq.errors import ConfigError, ContractError, DimensionError, NumericError
 from aqvq.model import (
     ModelConfig,
+    _adam_update,
     decode,
     encode,
     evaluate,
@@ -243,6 +244,54 @@ class TestTrainStep:
         for i in range(3):
             m = train_step(RNG(11).normal(size=(4, 6)), state)
         assert m["step"] == 3 == state.step
+
+
+class TestAdamArena:
+    CONFIGS = {
+        # qk-only scoring leaves the values and output map without gradients
+        "dense adaptive": dict(quantizer="adaptive", capacity=8, use_ema=False,
+                               scores_qk_only=True),
+        "conv fixed": dict(encoder_arch="small_conv", input_shape=(1, 8, 8), use_ema=False),
+        "dense single": dict(use_ema=False, precision="single"),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_update_matches_per_parameter_loop(self, name):
+        cfg = dense_config(learning_rate=1e-2, **self.CONFIGS[name])
+        arena, looped = init_state(cfg), init_state(cfg)
+        rng = RNG(3)
+        for step in range(4):
+            x = rng.normal(size=(8,) + cfg.input_shape)
+            for state in (arena, looped):
+                loss, _, _ = forward_loss(x, state, tau=2.0, rng=RNG(step))
+                state.zero_grads()
+                backward(loss)
+                state.params["dec.b1" if cfg.encoder_arch == "dense" else "dec.conv1.b"].grad = None
+            _adam_update(arena)
+            reference_adam_update(looped)
+            for key, p in arena.params.items():
+                for a, b in ((p.data, looped.params[key].data),
+                             (arena.adam_m[key], looped.adam_m[key]),
+                             (arena.adam_v[key], looped.adam_v[key])):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (step, key)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_state_arrays_tile_the_arena(self, name):
+        state = init_state(dense_config(**self.CONFIGS[name]))
+        train_step(RNG(4).normal(size=(4,) + state.config.input_shape), state)
+        data = [p.data for p in state.params.values()]
+        for flat, arrays in zip(state.arena, (data, list(state.adam_m.values()),
+                                              list(state.adam_v.values()))):
+            assert sum(a.size for a in arrays) == flat.size
+            assert all(np.shares_memory(a, flat) for a in arrays)
+
+    def test_overflowing_update_names_parameter(self):
+        state = init_state(dense_config(learning_rate=np.finfo(np.float64).max))
+        x = 100.0 * RNG(5).normal(size=(8, 6))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"^step 0: non-finite values in parameter "
+                                    r"'enc\.w1' after Adam update$"):
+            train_step(x, state)
 
 
 class TestQuantizerFreeEquivalence:

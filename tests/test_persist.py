@@ -98,6 +98,12 @@ class TestCheckpointRoundTrip:
         after = persist._state_arrays(loaded)
         assert list(after) == list(before)
         assert all(after[name] is arr for name, arr in before.items())
+        # Adam updates the arena, so each parameter and moment must still be a view of it
+        arenas = dict(zip(("params", "adam_m", "adam_v"), loaded.arena))
+        viewed = [name for name in after if name.partition("[")[0] in arenas]
+        assert len(viewed) == 3 * len(loaded.params)
+        assert all(np.shares_memory(after[name], arenas[name.partition("[")[0]])
+                   for name in viewed)
 
     def test_training_continues_after_reload(self, tmp_path):
         state = trained_state(steps=3)

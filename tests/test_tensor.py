@@ -338,6 +338,34 @@ class TestGradientsMatchFiniteDifferences:
         _grad_check(build, x)
 
 
+class TestUpsampleGradient:
+    @staticmethod
+    def _vjp_and_window_sums(shape, dtype, seed):
+        """upsample2x's input gradient, numpy's sum over each 2x2 window of
+        the output gradient, and that sum over the absolute values."""
+        batch, chans, height, width = shape
+        g = RNG(seed).normal(size=(batch, chans, 2 * height, 2 * width)).astype(dtype)
+        (dx,) = upsample2x(Tensor(np.zeros(shape, dtype), requires_grad=True))._vjp(g)
+        windows = lambda a: a.reshape(batch, chans, height, 2, width, 2).sum(axis=(3, 5))
+        return dx, windows(g), windows(np.abs(g))
+
+    @pytest.mark.parametrize("shape", [(64, 16, 2, 2), (64, 16, 4, 4)])
+    def test_same_bytes_as_window_sum_on_conv_decoder_shapes(self, shape):
+        # the two upsamples of a 16-channel conv model on 8x8 images
+        dx, ref, _ = self._vjp_and_window_sums(shape, np.float64, seed=15)
+        assert dx.dtype == ref.dtype and dx.tobytes() == ref.tobytes()
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_property_matches_window_sum(self, data):
+        # four terms summed in two orders differ by at most 3 roundings each
+        shape = tuple(data.draw(st.integers(1, 6), label=k) for k in "BCHW")
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        dx, ref, mag = self._vjp_and_window_sums(shape, dtype, data.draw(st.integers(0, 2**32 - 1)))
+        assert dx.dtype == dtype and dx.shape == shape
+        assert np.all(np.abs(dx - ref) <= 6 * np.finfo(dtype).eps * mag)
+
+
 class TestConvMatchesReference:
     @given(st.data())
     @settings(deadline=None, max_examples=200)
