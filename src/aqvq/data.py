@@ -40,6 +40,9 @@ class DatasetSource:
             raise ConfigError(f"unknown dataset kind {self.kind!r}; expected one of {kinds}")
         if self.seed < 0:
             raise ConfigError(f"dataset seed must be nonnegative, got {self.seed}")
+        for name in ("noise_sigma", "spread"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"validation fraction must lie in (0,1), got {self.val_fraction}")
         if self.kind != "idx_images":

@@ -95,6 +95,9 @@ class ModelConfig:
                               f"got {self.input_shape}")
         if min(self.input_shape + (self.num_hiddens, self.batch_size)) < 1:
             raise ConfigError("input_shape, num_hiddens and batch_size must be positive")
+        for name in ("alpha", "beta", "learning_rate", "laplace_eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0 or self.learning_rate < 0:
             raise ConfigError("alpha, beta and learning_rate must be nonnegative")
         if self.num_heads < 1:

@@ -127,21 +127,31 @@ PANEL = 8
 def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
     """Index of the closest codeword per row; ties go to the lowest index.
 
-    Squared distances are ``(|z|^2 - 2 z.e) + |e|^2``, computed for one
-    tile of codewords at a time into a single reused T x width buffer of
-    about TILE_ELEMENTS doubles. Tiles are merged with a strict ``<``,
-    so an earlier tile keeps a tie. Rows holding NaN or inf raise
+    A codebook with D >= 2 is scored with one matrix product per tile of
+    codewords: the augmented rows ``q = [-2 z, 1]`` times the augmented
+    codewords ``[e, |e|^2]``, which gives ``|e|^2 - 2 z.e``. That is the
+    squared distance less ``|z|^2``, which is the same for every
+    codeword of a row and so cannot change its pick; it is not formed.
+    For D == 1 the score is the full ``(|z|^2 - 2 z.e) + |e|^2``, with
+    the products from ``np.multiply``, which forms the same exact
+    products far faster than a K=1 matmul and is the expression
+    ``_nearest_sorted`` reproduces.
+
+    The augmented codebook, a (D+1) x padded array, is built once per
+    call; each tile is scored into a single reused T x width buffer of
+    about TILE_ELEMENTS elements, and tiles are merged with a strict
+    ``<``, so an earlier tile keeps a tie. Rows holding NaN or inf raise
     ``NumericError``.
 
     Every tile has the same width, a whole multiple of PANEL codewords;
-    the last one is padded with zero codewords whose ``|e|^2`` is
-    ``+inf``, so a pad is never picked. This keeps ties exact: BLAS
-    computes a partial panel of columns with another kernel than a
-    whole one, which can round ``z.e`` differently, so bit-identical
-    codewords would get different distances and a higher index could
-    win. ``TestNearestIndices::test_duplicate_codewords_go_to_lowest_index``
-    pins the rule. For D == 1 the products come from ``np.multiply``,
-    which forms the same exact products far faster than a K=1 matmul.
+    the columns past the last codeword are zero codewords whose
+    ``|e|^2`` row holds ``+inf``, so a pad scores ``+inf`` against any
+    finite row and is never picked. This keeps ties exact: BLAS computes
+    a partial panel of columns with another kernel than a whole one,
+    which can round the product differently, so bit-identical codewords
+    would get different scores and a higher index could win.
+    ``TestNearestIndices::test_duplicate_codewords_go_to_lowest_index``
+    pins the rule.
 
     A finite D == 1 codebook that needs more than one tile is searched
     in sorted order instead, with the same result (see
@@ -164,30 +174,30 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
         best = _nearest_sorted(z[:, 0], emb[:, 0])
         if best is not None:
             return best
-    code_sq = np.full(padded, np.inf, dtype=emb.dtype)
-    code_sq[:n] = (emb * emb).sum(axis=1)
-    row_sq = (z * z).sum(axis=1)[:, None]
+    kind = np.result_type(z, emb)
+    codes = _augmented(emb, padded, kind)
     # -2 z.e as (-2 z).e: scaling by a power of two is exact
     scaled = z * -2.0
-    if padded > width:
-        # spread the per-row terms over a whole tile once: numpy combines two
-        # full arrays over twice as fast as it broadcasts a column across one
-        row_sq = np.repeat(row_sq, width, axis=1)
-        if d == 1:
+    if d == 1:
+        row_sq = z * z
+        if padded > width:
+            # spread the per-row terms over a whole tile once: numpy combines two
+            # full arrays over twice as fast as it broadcasts a column across one
+            row_sq = np.repeat(row_sq, width, axis=1)
             scaled = np.repeat(scaled, width, axis=1)
-    buf = np.empty((rows, width), dtype=np.result_type(z, emb))
+    else:
+        q = np.ones((rows, d + 1), dtype=kind)
+        q[:, :d] = scaled
+    buf = np.empty((rows, width), dtype=kind)
 
     def tile_argmin(start):
-        tile = emb[start : start + width]
-        if tile.shape[0] < width:
-            tile = np.concatenate([tile, np.zeros((width - tile.shape[0], d), emb.dtype)])
+        tile = codes[:, start : start + width]
         if d == 1:
-            np.copyto(buf, tile.T)
-            np.multiply(scaled, buf, out=buf)
+            np.multiply(scaled, tile[0], out=buf)
+            np.add(row_sq, buf, out=buf)
+            np.add(buf, tile[1], out=buf)
         else:
-            np.matmul(scaled, tile.T, out=buf)
-        np.add(row_sq, buf, out=buf)
-        np.add(buf, code_sq[start : start + width], out=buf)
+            np.matmul(q, tile, out=buf)
         return buf.argmin(axis=1)
 
     best = tile_argmin(0)
@@ -201,6 +211,23 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
             best[closer] = idx[closer] + start
             best_d2[closer] = d2[closer]
     return best
+
+
+def _augmented(emb: np.ndarray, padded: int, dtype) -> np.ndarray:
+    """The (D+1) x padded array ``[e, |e|^2]^T`` of ``nearest_indices``.
+
+    Rows 0..D-1 hold the codewords as columns, row D their ``|e|^2``,
+    summed in the codebook's dtype. Columns past the last codeword are
+    zero codewords with ``+inf`` in row D.
+    """
+    n, d = emb.shape
+    # summed first, so its N x D temporary and the result are never alive together
+    code_sq = (emb * emb).sum(axis=1)
+    codes = np.zeros((d + 1, padded), dtype=dtype)
+    codes[:d, :n] = emb.T
+    codes[d, :n] = code_sq
+    codes[d, n:] = np.inf
+    return codes
 
 
 def _nearest_sorted(z: np.ndarray, codes: np.ndarray) -> np.ndarray | None:

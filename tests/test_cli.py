@@ -164,9 +164,16 @@ class TestRejectedRun:
         (None, {"laplace_eps": 0.0}, {}),
         (None, {"input_shape": [4]}, {}),
         (None, {}, {"kind": "idx_images", "images_path": "missing.idx"}),
+        (None, {"learning_rate": float("nan")}, {}),
+        (None, {"alpha": float("nan")}, {}),
+        (None, {"beta": float("nan")}, {}),
+        (None, {"laplace_eps": float("nan")}, {}),
+        (None, {"learning_rate": float("inf")}, {}),
+        (None, {}, {"noise_sigma": float("nan")}),
     ], ids=["seed-env-negative", "codebook-n-below-d", "capacity-not-power-of-two",
             "heads-not-dividing-hiddens", "laplace-eps-zero", "input-shape-not-dataset",
-            "idx-images-missing"])
+            "idx-images-missing", "learning-rate-nan", "alpha-nan", "beta-nan",
+            "laplace-eps-nan", "learning-rate-inf", "noise-sigma-nan"])
     def test_exits_one_without_resolved_config(self, tmp_path, run_config, monkeypatch,
                                                capsys, seed, model, dataset):
         if seed is not None:

@@ -65,6 +65,12 @@ class TestGaussianMixture:
         with pytest.raises(ConfigError):
             DatasetSource(kind="other")
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "spread"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            DatasetSource(**{field: value})
+
 
 class TestPatterns:
     def test_shape_and_determinism(self):

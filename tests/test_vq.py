@@ -56,6 +56,20 @@ class TestCodebookSpec:
             CodebookSpec(0, 1)
 
 
+def assert_brute_force_picks(z, emb, got, rtol=1e-9):
+    """Each pick is the brute-force pick, or scores within ``rtol`` of it
+    without an exact tie, which must go to the lowest index."""
+    want = brute_force_nearest(z, emb)
+    emb = emb.astype(np.float64)
+    for row, pick, best in zip(z, got, want):
+        if pick == best:
+            continue
+        d_pick = float(np.dot(row - emb[pick], row - emb[pick]))
+        d_best = float(np.dot(row - emb[best], row - emb[best]))
+        assert d_pick != d_best, "an exact tie must go to the lowest index"
+        assert d_pick - d_best <= rtol * (row @ row + emb[pick] @ emb[pick])
+
+
 class TestNearestIndices:
     def test_worked_example(self):
         cb = Codebook([[0.0, 0.0], [1.0, 1.0]])
@@ -153,6 +167,59 @@ class TestNearestIndices:
             assert d_pick != d_best, "an exact tie must go to the lowest index"
             assert d_pick - d_best <= 1e-9 * (row @ row + emb[pick] @ emb[pick])
 
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_last_tile_with_one_codeword(self, d):
+        # 64 rows make 1024-wide tiles, so codeword 2048 is alone in the
+        # third tile with 1023 pads; rows sit on it and on a duplicated pair
+        rng = RNG(d)
+        n = 2 * 1024 + 1
+        emb = rng.normal(size=(n, d))
+        emb[-1] = 3.0
+        emb[1500] = emb[7]
+        z = rng.normal(size=(64, d))
+        z[:4] = emb[-1] + rng.normal(size=(4, d)) * 1e-3
+        z[4:8] = emb[1500]
+        got = nearest_indices(z, Codebook(emb))
+        assert (got[:4] == n - 1).all() and (got[4:8] == 7).all()
+        assert_brute_force_picks(z, emb, got)
+
+    def test_float32_codebook_with_float64_rows(self):
+        # precision "single" hands float64 rows to a float32 codebook; its
+        # |e|^2 is summed in float32, so picks agree to float32 rounding
+        rng = RNG(5)
+        for t, n, d in [(64, 3000, 2), (7, 100, 4), (256, 2000, 8)]:
+            emb = rng.normal(size=(n, d)).astype(np.float32)
+            emb[n - 1] = emb[0]
+            z = rng.normal(size=(t, d))
+            z[0] = emb[0]
+            got = nearest_indices(z, Codebook(emb))
+            assert got[0] == 0
+            assert_brute_force_picks(z, emb, got, rtol=2 * d * np.finfo(np.float32).eps)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_large_finite_scores_never_pick_a_pad(self, d):
+        # every real score is near 1e306, far above a zero pad's, and
+        # finite, so only the +inf in the pads' |e|^2 keeps them out
+        rng = RNG(11)
+        n = 2 * 1024 + 3
+        emb = rng.uniform(1.0, 2.0, size=(n, d)) * 1e153 / np.sqrt(d)
+        z = rng.normal(size=(64, d))
+        got = nearest_indices(z, Codebook(emb))
+        assert (got < n).all()
+        np.testing.assert_array_equal(got, brute_force_nearest(z, emb))
+
+    def test_search_allocates_about_augmented_codebook_and_one_tile(self):
+        # the augmented (D+1) x N codebook is 1.5 codebooks at D == 2
+        rng = RNG(8)
+        cb = Codebook(rng.normal(size=(32768, 2)))
+        rows = rng.normal(size=(64, 2))
+        tracemalloc.start()
+        try:
+            nearest_indices(rows, cb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cb.embeddings.data.nbytes + vq.TILE_ELEMENTS * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n, d", [(5, 2), (40, 1)])
