@@ -164,7 +164,7 @@ def gumbel_softmax(logits: Tensor, tau: float, hard: bool = True,
     perturbed = logits
     if rng is not None:
         noise = rng.gumbel(size=logits.data.shape)
-        perturbed = add(logits, Tensor(noise))
+        perturbed = add(logits, Tensor(noise, dtype=logits.dtype))
     soft = softmax(mul_scalar(perturbed, 1.0 / tau))
     if not hard:
         return soft

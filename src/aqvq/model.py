@@ -363,6 +363,8 @@ def evaluate(data, state: TrainState, batch_size: int = 256) -> dict:
     depend on the evaluation batch size; the mean is per batch. The
     ``vq_loss_*`` figures sum the quantizer term the same way.
     """
+    if batch_size < 1:
+        raise ContractError(f"evaluation batch size must be at least 1, got {batch_size}")
     arr = np.asarray(data, dtype=state.config.dtype)
     if arr.shape[0] == 0:
         raise ContractError("cannot evaluate on an empty split")

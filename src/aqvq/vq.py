@@ -70,7 +70,8 @@ class Codebook:
     ``ema_update``. The EMA accumulators start consistent with the
     initial codewords: cluster sizes at one and sums equal to the
     codewords, so rows that never receive assignments keep their value
-    instead of collapsing.
+    instead of collapsing. Everything is in the codewords' dtype except
+    ``ema_cluster_size``, which counts assignments and is always float64.
     """
 
     def __init__(self, embeddings, trainable: bool = False):
@@ -111,8 +112,11 @@ class QuantResult:
     counts: np.ndarray | None = None  # selections per codebook; None for a fixed layer
 
 
-def _rows_of(z) -> np.ndarray:
-    arr = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
+def _rows_of(z, dtype) -> np.ndarray:
+    arr = z.data if isinstance(z, Tensor) else np.asarray(z)
+    if arr.dtype != dtype:
+        with np.errstate(over="ignore"):  # out of range becomes inf, which callers reject
+            arr = arr.astype(dtype)
     if arr.ndim != 2:
         raise DimensionError(f"expected T x D rows, got shape {arr.shape}")
     return arr
@@ -157,8 +161,8 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
     in sorted order instead, with the same result (see
     ``_nearest_sorted``).
     """
-    z = _rows_of(z_rows)
     emb = codebook.embeddings.data
+    z = _rows_of(z_rows, emb.dtype)
     if z.shape[1] != emb.shape[1]:
         raise DimensionError(
             f"rows have dimension {z.shape[1]}, codebook has {emb.shape[1]}"
@@ -174,21 +178,15 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
         best = _nearest_sorted(z[:, 0], emb[:, 0])
         if best is not None:
             return best
-    kind = np.result_type(z, emb)
-    codes = _augmented(emb, padded, kind)
+    codes = _augmented(emb, padded)
     # -2 z.e as (-2 z).e: scaling by a power of two is exact
     scaled = z * -2.0
     if d == 1:
         row_sq = z * z
-        if padded > width:
-            # spread the per-row terms over a whole tile once: numpy combines two
-            # full arrays over twice as fast as it broadcasts a column across one
-            row_sq = np.repeat(row_sq, width, axis=1)
-            scaled = np.repeat(scaled, width, axis=1)
     else:
-        q = np.ones((rows, d + 1), dtype=kind)
+        q = np.ones((rows, d + 1), dtype=emb.dtype)
         q[:, :d] = scaled
-    buf = np.empty((rows, width), dtype=kind)
+    buf = np.empty((rows, width), dtype=emb.dtype)
 
     def tile_argmin(start):
         tile = codes[:, start : start + width]
@@ -213,17 +211,17 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
     return best
 
 
-def _augmented(emb: np.ndarray, padded: int, dtype) -> np.ndarray:
+def _augmented(emb: np.ndarray, padded: int) -> np.ndarray:
     """The (D+1) x padded array ``[e, |e|^2]^T`` of ``nearest_indices``.
 
-    Rows 0..D-1 hold the codewords as columns, row D their ``|e|^2``,
-    summed in the codebook's dtype. Columns past the last codeword are
-    zero codewords with ``+inf`` in row D.
+    Rows 0..D-1 hold the codewords as columns, row D their ``|e|^2``.
+    Columns past the last codeword are zero codewords with ``+inf`` in
+    row D.
     """
     n, d = emb.shape
     # summed first, so its N x D temporary and the result are never alive together
     code_sq = (emb * emb).sum(axis=1)
-    codes = np.zeros((d + 1, padded), dtype=dtype)
+    codes = np.zeros((d + 1, padded), dtype=emb.dtype)
     codes[:d, :n] = emb.T
     codes[d, :n] = code_sq
     codes[d, n:] = np.inf
@@ -245,33 +243,28 @@ def _nearest_sorted(z: np.ndarray, codes: np.ndarray) -> np.ndarray | None:
     The window of codewords within ``sqrt(best^2 + 16 eps (|z| +
     max|e|)^2 + 16 tiny)`` covers that with room for the rounding of
     the window itself, and only the window is scored, with the dense
-    expression in its dtypes. Its smallest score, lowest index first,
-    is the dense scan's pick.
+    expression. Its smallest score, lowest index first, is the dense
+    scan's pick.
 
-    ``eps`` and ``tiny`` are those of the coarser of the rows' and the
-    codebook's dtype: float64 rows against a float32 codebook still
-    round ``|e|^2`` in float32. Returns None, leaving the search to the
-    dense scan, when the codebook holds NaN or inf or a score could
-    overflow.
+    The rows share the codebook's dtype, whose ``eps`` and ``tiny`` these
+    are. Returns None, leaving the search to the dense scan, when the
+    codebook holds NaN or inf or a score could overflow.
     """
     order = np.argsort(codes)
     ordered = codes[order]
-    coarse = max(np.finfo(z.dtype), np.finfo(codes.dtype), key=lambda f: f.eps)
+    fin = np.finfo(codes.dtype)
     edge = np.abs(ordered[[0, -1]]).max()  # max |e|; NaN, which sorts last, if any
     reach = float(np.abs(z).max()) + float(edge)
-    if not 4.0 * reach * reach < coarse.max:
+    if not 4.0 * reach * reach < float(fin.max):
         return None
-    wide = np.result_type(z, codes, np.float64)
-    zw = z.astype(wide)
-    pos = np.searchsorted(ordered, zw)
+    pos = np.searchsorted(ordered, z)
     below = ordered[np.maximum(pos - 1, 0)]
     above = ordered[np.minimum(pos, codes.size - 1)]
-    best = np.minimum(np.abs(zw - below), np.abs(zw - above))
-    span = np.abs(zw) + edge
-    radius = np.sqrt(best * best + 16 * coarse.eps * span * span
-                     + 16 * coarse.smallest_subnormal)
-    lo = np.searchsorted(ordered, zw - radius, "left")
-    sizes = np.searchsorted(ordered, zw + radius, "right") - lo
+    best = np.minimum(np.abs(z - below), np.abs(z - above))
+    span = np.abs(z) + edge
+    radius = np.sqrt(best * best + 16 * fin.eps * span * span + 16 * fin.smallest_subnormal)
+    lo = np.searchsorted(ordered, z - radius, "left")
+    sizes = np.searchsorted(ordered, z + radius, "right") - lo
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(z.size), sizes)
     cand = order[np.arange(sizes.sum()) + np.repeat(lo - starts, sizes)]
@@ -295,7 +288,7 @@ def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,
     """
     if alpha < 0 or beta < 0:
         raise ConfigError(f"loss weights must be nonnegative, got alpha={alpha} beta={beta}")
-    rows = _rows_of(z_e)
+    rows = _rows_of(z_e, z_e.dtype)
     if rows.shape[0] == 0:
         raise ContractError("cannot quantize an empty batch")
     idx = nearest_indices(rows, codebook)
@@ -343,7 +336,7 @@ def ema_update(codebook: Codebook, z_rows, indices, gamma: float, laplace_eps: f
     if laplace_eps <= 0:
         raise ConfigError(f"laplace_eps must be positive, got {laplace_eps}")
     gamma, laplace_eps = float(gamma), float(laplace_eps)
-    z = _rows_of(z_rows)
+    z = _rows_of(z_rows, codebook.embeddings.data.dtype)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.shape != (z.shape[0],):
         raise DimensionError(f"{z.shape[0]} rows but {idx.shape} indices")

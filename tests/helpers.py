@@ -97,9 +97,9 @@ def reference_ema_update(codebook, z_rows, indices, gamma, laplace_eps):
     """The default-form EMA update of ``vq.ema_update`` over whole N x D
     arrays: decay every running count and sum, add this batch's share
     (zero for unassigned codewords), smooth the counts and divide."""
-    z = z_rows.data if isinstance(z_rows, Tensor) else np.asarray(z_rows, dtype=np.float64)
-    idx = np.asarray(indices, dtype=np.int64)
     emb = codebook.embeddings.data
+    z = np.asarray(z_rows.data if isinstance(z_rows, Tensor) else z_rows, dtype=emb.dtype)
+    idx = np.asarray(indices, dtype=np.int64)
     n_codes = emb.shape[0]
     counts = np.bincount(idx, minlength=n_codes).astype(np.float64)
     sums = np.zeros_like(emb)

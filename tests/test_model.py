@@ -4,6 +4,8 @@ evaluation purity, and equivalence with a hand-rolled autoencoder."""
 import numpy as np
 import pytest
 
+import aqvq.model
+import aqvq.vq
 from helpers import HandAutoencoder, fixed_surrogate, reference_adam_update
 from aqvq.errors import ConfigError, ContractError, DimensionError, NumericError
 from aqvq.model import (
@@ -358,6 +360,12 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(np.zeros((0, 6)), state)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_must_be_positive(self, batch_size):
+        state = init_state(dense_config())
+        with pytest.raises(ContractError, match="batch size must be at least 1"):
+            evaluate(RNG(17).normal(size=(4, 6)), state, batch_size=batch_size)
+
 
 class TestConfigFlags:
     def test_qk_only_scoring_trains(self):
@@ -385,6 +393,51 @@ class TestPrecisionOption:
         assert all(p.data.dtype == np.float32 for p in state.params.values())
         loss, _, _ = forward_loss(np.ones((2, 6), dtype=np.float32), state)
         assert loss.data.dtype == np.float32
+
+    CONFIGS = {
+        "dense fixed": dict(use_ema=True),
+        "dense adaptive": dict(quantizer="adaptive", capacity=8, use_ema=False),
+        "dense adaptive ema": dict(quantizer="adaptive", capacity=8, use_ema=True),
+        "conv adaptive": dict(encoder_arch="small_conv", input_shape=(1, 8, 8),
+                              quantizer="adaptive", capacity=8, use_ema=True),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_single_precision_is_float32_end_to_end(self, name, monkeypatch):
+        # float64 inputs and Gumbel noise included: every node of a step's
+        # and an evaluation's graph, every gradient and every row the search
+        # and the EMA see is float32
+        cfg = dense_config(precision="single", **self.CONFIGS[name])
+        state = init_state(cfg)
+        nodes, row_dtypes = [], []
+        forward = aqvq.model.forward_loss
+
+        def recording_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            nodes.extend(Graph(out[0]).nodes)
+            return out
+
+        def spy(module, name, rows_at):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                row_dtypes.append((name, args[rows_at].dtype))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        monkeypatch.setattr(aqvq.model, "forward_loss", recording_forward)
+        spy(aqvq.vq, "nearest_indices", 0)
+        spy(aqvq.model, "ema_update", 1)
+        x = RNG(22).normal(size=(8,) + cfg.input_shape)
+        train_step(x, state, tau=2.0, rng=RNG(0))
+        grads = [p.grad for p in state.params.values() if p.grad is not None]
+        evaluate(x, state, batch_size=4)
+        assert nodes and {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
+        assert grads and all(g.dtype == np.float32 for g in grads)
+        called = {name for name, _ in row_dtypes}
+        assert called == ({"nearest_indices", "ema_update"} if cfg.use_ema else {"nearest_indices"})
+        assert all(dtype == np.float32 for _, dtype in row_dtypes)
 
     def test_double_is_default(self):
         state = init_state(dense_config())

@@ -1,0 +1,47 @@
+"""The benchmark's layer tracing (``perfbench/workload.py --trace 1``)
+patches package functions under the names their callers look them up
+by. A renamed or moved function would leave its span empty without any
+error, so every wrapped name must record a span in a short run."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from aqvq import data, experiments
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def workload(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workload")
+
+
+def test_every_layer_wrapper_records_a_span(workload):
+    wrapped, recorded, counters = set(), set(), set()
+
+    class Recorder(workload.Tracer):
+        def timed(self, name, fn, count=None):
+            wrapped.add(name)
+            return super().timed(name, fn, count)
+
+        def stepped(self, name, fn):
+            wrapped.add(name)
+            return super().stepped(name, fn)
+
+    for name in ("dense-w64", "conv-w64"):
+        source, config = workload.make_inputs(name, 11, 0)
+        dataset = data.synth_dataset(source)
+        tracer = Recorder()
+        workload.install_layer_wrappers(tracer)
+        try:
+            experiments.train_run(config, dataset, 2)
+        finally:
+            tracer.unpatch()
+        recorded |= {span.name for span in tracer.spans}
+        counters |= {name for name, _, _ in tracer.counters}
+    assert recorded == wrapped
+    assert {"tensor.conv2d_3x3", "tensor.conv2d_3x3.bwd", "vq.nearest_indices"} <= recorded
+    assert {"tensor.graph_nodes", "vq.nearest_indices"} <= counters

@@ -113,6 +113,14 @@ class TestNearestIndices:
             idx = nearest_indices(z, Codebook(emb))
             direct = np.argmin(((z[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2), axis=1)
             np.testing.assert_array_equal(idx, direct)
+        # a 1-D codebook the sorted search declines (a score could overflow),
+        # though every dense score stays finite: the tiled scan takes it
+        emb = rng.uniform(-4e153, 4e153, size=(3000, 1))
+        z = rng.uniform(-4e153, 4e153, size=(64, 1))
+        assert vq._nearest_sorted(z[:, 0], emb[:, 0]) is None
+        idx = nearest_indices(z, Codebook(emb))
+        np.testing.assert_array_equal(idx, dense_scan_nearest(z, emb))
+        np.testing.assert_array_equal(idx, brute_force_nearest(z, emb))
 
     def test_duplicate_codewords_go_to_lowest_index(self):
         # bit-identical codewords must get bit-identical distances; with N
@@ -184,8 +192,8 @@ class TestNearestIndices:
         assert_brute_force_picks(z, emb, got)
 
     def test_float32_codebook_with_float64_rows(self):
-        # precision "single" hands float64 rows to a float32 codebook; its
-        # |e|^2 is summed in float32, so picks agree to float32 rounding
+        # the search takes float64 rows in a float32 codebook's dtype, so it
+        # picks what the rows rounded to float32 pick
         rng = RNG(5)
         for t, n, d in [(64, 3000, 2), (7, 100, 4), (256, 2000, 8)]:
             emb = rng.normal(size=(n, d)).astype(np.float32)
@@ -194,6 +202,7 @@ class TestNearestIndices:
             z[0] = emb[0]
             got = nearest_indices(z, Codebook(emb))
             assert got[0] == 0
+            np.testing.assert_array_equal(got, nearest_indices(z.astype(np.float32), Codebook(emb)))
             assert_brute_force_picks(z, emb, got, rtol=2 * d * np.finfo(np.float32).eps)
 
     @pytest.mark.parametrize("d", [2, 5])
@@ -231,11 +240,30 @@ class TestNearestIndices:
             with pytest.raises(NumericError, match="nearest_indices"):
                 nearest_indices(rows, Codebook(RNG(1).normal(size=(n, d))))
 
+    def test_rows_beyond_the_codebook_dtype_rejected(self):
+        # rows are taken in the codebook's dtype, where 1e39 is inf
+        rows, cb = np.array([[1e39, 0.0]]), Codebook(np.zeros((4, 2), np.float32))
+        with pytest.raises(NumericError, match="nearest_indices"):
+            nearest_indices(rows, cb)
+        with pytest.raises(NumericError, match="ema_update"):
+            ema_update(cb, rows, [0], gamma=0.99, laplace_eps=1e-5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sorted_path_leaves_non_finite_codebook_to_dense_scan(self, bad):
         codes = RNG(2).normal(size=40)
         codes[7] = bad
         assert vq._nearest_sorted(RNG(3).normal(size=4), codes) is None
+
+    def test_sorted_path_overflow_guard_is_silent_in_float32(self):
+        # |z| + |e| near 1e19 squares past float32's largest value: the guard
+        # hands the search to the dense scan without an overflow warning
+        rng = RNG(4)
+        codes = rng.normal(size=(3000, 1)).astype(np.float32)
+        rows = rng.normal(size=(64, 1)).astype(np.float32)
+        rows[[3, 40]] = [[1e19], [-1e19]]
+        assert vq._nearest_sorted(rows[:, 0], codes[:, 0]) is None
+        np.testing.assert_array_equal(nearest_indices(rows, Codebook(codes)),
+                                      dense_scan_nearest(rows, codes))
 
     @settings(deadline=None, max_examples=300)
     @given(data=st.data())
@@ -270,6 +298,9 @@ class TestNearestIndices:
         if kind == "float32":
             rows = Tensor(rows.astype(np.float32))
             want = dense_scan_nearest(rows.data, codes[:, None])
+        elif kind == "float64 rows, float32 codebook":
+            # the search takes the rows in the codebook's dtype
+            want = dense_scan_nearest(rows.astype(np.float32), codes[:, None])
         else:
             want = dense_scan_nearest(rows, codes[:, None])
         search, sorted_picks = vq._nearest_sorted, []
