@@ -72,6 +72,12 @@ class Codebook:
     codewords, so rows that never receive assignments keep their value
     instead of collapsing. Everything is in the codewords' dtype except
     ``ema_cluster_size``, which counts assignments and is always float64.
+
+    ``sort_order`` is derived, not state: the permutation the last sorted
+    search of a D == 1 codebook sorted the codewords by (None until
+    then), kept so the next search starts from it (see ``_sort_order``).
+    It is never saved, and the search never trusts it: the codewords are
+    sorted again from it on every call.
     """
 
     def __init__(self, embeddings, trainable: bool = False):
@@ -83,6 +89,7 @@ class Codebook:
         self.embeddings = Tensor(arr.copy(), requires_grad=trainable)
         self.ema_cluster_size = np.ones(arr.shape[0], dtype=np.float64)
         self.ema_embed_sum = arr.copy()
+        self.sort_order = None
 
     @property
     def n(self) -> int:
@@ -159,7 +166,8 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
 
     A finite D == 1 codebook that needs more than one tile is searched
     in sorted order instead, with the same result (see
-    ``_nearest_sorted``).
+    ``_nearest_sorted``), sorted from the order its last search left in
+    ``codebook.sort_order``.
     """
     emb = codebook.embeddings.data
     z = _rows_of(z_rows, emb.dtype)
@@ -175,7 +183,8 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
     width = min(width, -(-n // PANEL) * PANEL)
     padded = -(-n // width) * width
     if d == 1 and padded > width and rows:
-        best = _nearest_sorted(z[:, 0], emb[:, 0])
+        codebook.sort_order = _sort_order(emb[:, 0], codebook.sort_order)
+        best = _nearest_sorted(z[:, 0], emb[:, 0], codebook.sort_order)
         if best is not None:
             return best
     codes = _augmented(emb, padded)
@@ -216,22 +225,47 @@ def _augmented(emb: np.ndarray, padded: int) -> np.ndarray:
 
     Rows 0..D-1 hold the codewords as columns, row D their ``|e|^2``.
     Columns past the last codeword are zero codewords with ``+inf`` in
-    row D.
+    row D. ``|e|^2`` is summed down the transposed block, one codeword
+    coordinate after another: for D <= 4 that is the order, and so the
+    bytes, of ``(emb * emb).sum(axis=1)``; for a larger D that sum adds
+    pairwise and can differ from this one in the last bit.
     """
     n, d = emb.shape
-    # summed first, so its N x D temporary and the result are never alive together
-    code_sq = (emb * emb).sum(axis=1)
-    codes = np.zeros((d + 1, padded), dtype=emb.dtype)
-    codes[:d, :n] = emb.T
-    codes[d, :n] = code_sq
+    codes = np.empty((d + 1, padded), dtype=emb.dtype)
+    block = codes[:d, :n]
+    block[...] = emb.T
+    codes[:d, n:] = 0.0
     codes[d, n:] = np.inf
+    np.square(block).sum(axis=0, out=codes[d, :n])
     return codes
 
 
-def _nearest_sorted(z: np.ndarray, codes: np.ndarray) -> np.ndarray | None:
+def _sort_order(codes: np.ndarray, previous: np.ndarray | None) -> np.ndarray:
+    """A permutation that sorts the scalar codewords ``codes``.
+
+    Given the order a previous search sorted them by, the codewords are
+    sorted again in that order with a stable sort and the result is
+    mapped back through it. The EMA or Adam steps between two searches
+    move codewords little, so they are nearly sorted in the old order,
+    on which timsort is close to linear. Any permutation of the right
+    size works as a start, because ``_nearest_sorted``'s picks depend on
+    the sorted values only; without one (or with one of another size)
+    the codewords are argsorted from scratch. The new order overwrites
+    ``previous``, so a codebook's order array keeps its place in memory
+    from one search to the next.
+    """
+    if previous is None or previous.shape != codes.shape:
+        return np.argsort(codes)
+    previous[...] = previous[np.argsort(codes[previous], kind="stable")]
+    return previous
+
+
+def _nearest_sorted(z: np.ndarray, codes: np.ndarray,
+                    order: np.ndarray | None = None) -> np.ndarray | None:
     """``nearest_indices`` of scalar rows ``z`` against scalar codewords.
 
-    The codewords are sorted once and each row's bracketing pair gives
+    The codewords are taken in ``order``, a permutation that sorts them
+    (argsorted here when None), and each row's bracketing pair gives
     ``best``, its exact distance to the nearest codeword. The dense
     scan's score of a codeword at exact distance ``r`` from row ``z``
     differs from ``r^2`` by at most about ``1.5 eps (|z| + |e|)^2``
@@ -244,13 +278,17 @@ def _nearest_sorted(z: np.ndarray, codes: np.ndarray) -> np.ndarray | None:
     max|e|)^2 + 16 tiny)`` covers that with room for the rounding of
     the window itself, and only the window is scored, with the dense
     expression. Its smallest score, lowest index first, is the dense
-    scan's pick.
+    scan's pick. Only the sorted values matter: the windows come from
+    ``searchsorted`` on them and ties go to the lowest original index,
+    so which of several sorting permutations ``order`` is does not
+    change a pick.
 
     The rows share the codebook's dtype, whose ``eps`` and ``tiny`` these
     are. Returns None, leaving the search to the dense scan, when the
     codebook holds NaN or inf or a score could overflow.
     """
-    order = np.argsort(codes)
+    if order is None:
+        order = np.argsort(codes)
     ordered = codes[order]
     fin = np.finfo(codes.dtype)
     edge = np.abs(ordered[[0, -1]]).max()  # max |e|; NaN, which sorts last, if any

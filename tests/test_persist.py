@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from aqvq.data import DatasetSource
 from aqvq.errors import CheckpointError, ConfigError, ContractError, FormatError
 from aqvq.model import ModelConfig, evaluate, init_state, train_step
-from aqvq import persist
+from aqvq import persist, vq
 from aqvq.persist import (
     RunReport,
     config_hash,
@@ -74,6 +74,35 @@ class TestCheckpointRoundTrip:
         save_checkpoint(state, first)
         save_checkpoint(load_checkpoint(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_search_never_changes_saved_state(self, tmp_path, monkeypatch):
+        # an 8-element tile puts every codebook over several tiles, so [64,1]
+        # takes the sorted search and keeps its sort order on the codebook;
+        # that order is derived, so neither it nor a search may reach the file
+        monkeypatch.setattr(vq, "TILE_ELEMENTS", 8)
+        cfg = ModelConfig(input_shape=(6,), num_hiddens=8, quantizer="adaptive",
+                          capacity=64, use_ema=True, learning_rate=1e-3, seed=0)
+        state = init_state(cfg)
+        rng = RNG(0)
+        for _ in range(3):
+            train_step(rng.normal(size=(8, 6)), state, rng=rng)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(state, first)
+        saved = [(cb.embeddings.data.tobytes(), cb.ema_cluster_size.tobytes(),
+                  cb.ema_embed_sum.tobytes()) for cb in state.codebooks]
+        data = RNG(1).normal(size=(32, 6))
+        before = evaluate(data, state)
+        for cb in state.codebooks:
+            vq.nearest_indices(RNG(2).normal(size=(16, cb.d)), cb)
+        assert [cb.sort_order is not None for cb in state.codebooks] == [
+            cb.d == 1 for cb in state.codebooks]
+        assert saved == [(cb.embeddings.data.tobytes(), cb.ema_cluster_size.tobytes(),
+                          cb.ema_embed_sum.tobytes()) for cb in state.codebooks]
+        save_checkpoint(state, second)
+        assert first.read_bytes() == second.read_bytes()
+        loaded = load_checkpoint(second)
+        assert all(cb.sort_order is None for cb in loaded.codebooks)
+        assert evaluate(data, loaded) == evaluate(data, state) == before
 
     def test_format_version_first_key(self, tmp_path):
         state = trained_state()

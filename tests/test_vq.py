@@ -316,6 +316,99 @@ class TestNearestIndices:
         np.testing.assert_array_equal(got, want)
 
 
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_property_sorted_picks_do_not_depend_on_the_stored_order(self, data):
+        # the first search leaves its sort order on the codebook; the
+        # codewords then move in place and the next search starts from that
+        # stale order, yet must pick what the dense scan and a fresh
+        # codebook pick
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        move = data.draw(st.sampled_from(["ema", "shuffle", "reverse", "ties"]), label="move")
+        rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = data.draw(st.integers(9, 200), label="n")
+        cb = Codebook(rng.normal(size=(n, 1)).astype(dtype))
+        rows = rng.normal(size=(data.draw(st.integers(1, 8), label="t"), 1)).astype(dtype)
+        seen, sort_order = [], vq._sort_order
+
+        def spy(*args):
+            seen.append(args[1])
+            return sort_order(*args)
+
+        with mock.patch.object(vq, "TILE_ELEMENTS", 8), \
+                mock.patch.object(vq, "_sort_order", spy):
+            nearest_indices(rows, cb)
+            stale = cb.sort_order
+            codes = cb.embeddings.data[:, 0]  # moved in place, as ema_update does
+            if move == "ema":
+                codes *= (1 + rng.uniform(-1e-6, 1e-6, size=n)).astype(dtype)
+            elif move == "shuffle":
+                rng.shuffle(codes)
+            elif move == "reverse":
+                codes[:] = codes[::-1].copy()
+            else:  # runs of exact duplicates and np.nextafter neighbours
+                for _ in range(data.draw(st.integers(1, 3), label="runs")):
+                    start = int(rng.integers(0, n))
+                    for j in range(start + 1, min(n, start + int(rng.integers(2, 40)))):
+                        codes[j] = codes[j - 1]
+                        for _ in range(data.draw(st.sampled_from([0, 1, 3]), label="ulps")):
+                            codes[j] = np.nextafter(codes[j], dtype(np.inf))
+            ordered = np.sort(codes)
+            pairs = rng.integers(0, n - 1, size=4)
+            rows = np.concatenate([
+                codes[rng.integers(0, n, size=4)],               # equal to a codeword
+                (ordered[pairs] + ordered[pairs + 1]) / 2,       # midpoints
+                rng.normal(size=4).astype(dtype),
+            ])[:, None]
+            got = nearest_indices(rows, cb)
+            fresh = nearest_indices(rows, Codebook(cb.embeddings.data))
+        assert seen[0] is None and seen[1] is stale is cb.sort_order
+        assert np.array_equal(np.sort(cb.sort_order), np.arange(n))
+        want = dense_scan_nearest(rows, cb.embeddings.data)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fresh, want)
+
+    def test_sorted_search_allocates_about_two_codebooks(self):
+        # the order and the sorted codewords, also when the search starts
+        # from the order an earlier search left on the codebook
+        rng = RNG(9)
+        cb = Codebook(rng.normal(size=(65536, 1)))
+        rows = rng.normal(size=(64, 1))
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                nearest_indices(rows, cb)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert cb.sort_order is not None
+            assert peak < 2.5 * cb.embeddings.data.nbytes
+            cb.embeddings.data *= 1 + rng.uniform(-1e-6, 1e-6, size=(65536, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_augmented_codebook(self, d, dtype):
+        # 131 codewords in 64-wide tiles: three tiles, 61 pad columns. The
+        # array is not zero-filled, so a freed block of NaN of its size is
+        # left for it to reuse, and every pad must still be 0 with +inf
+        rng = RNG(d)
+        n, padded = 131, 192
+        emb = rng.normal(size=(n, d)).astype(dtype)
+        garbage = np.full((d + 1, padded), np.nan, dtype=dtype)
+        del garbage
+        codes = vq._augmented(emb, padded)
+        assert codes.shape == (d + 1, padded) and codes.dtype == dtype
+        assert codes[:d, :n].tobytes() == np.ascontiguousarray(emb.T).tobytes()
+        want = (emb * emb).sum(axis=1)
+        if d <= 4:
+            assert codes[d, :n].tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(codes[d, :n], want, rtol=d * np.finfo(dtype).eps, atol=0)
+        pads = codes[:d, n:]
+        assert (pads == 0).all() and not np.signbit(pads).any()
+        assert (codes[d, n:] == np.inf).all()
+
+
 class TestQuantize:
     def test_worked_loss_example(self):
         cb = Codebook([[1.0, 1.0], [5.0, 5.0]])
