@@ -17,9 +17,10 @@ rng = np.random.default_rng(1)
 codebook = Codebook(rng.normal(size=(4, 2)))
 points = Tensor(rng.normal(size=(6, 2)))
 out = quantize(points, codebook, alpha=0.25, beta=1.0)
-print("assignments:", out.indices.tolist())
+[(_, _, indices)] = out.assignments
+print("assignments:", indices.tolist())
 # codebook term plus 0.25 x commitment term, both mean((z - e)^2)
-print(f"vq loss {out.vq_loss.item():.4f}")
+print(f"vq loss {out.loss.item():.4f}")
 
 # EMA pulls each codeword toward the mean of its assigned points.
 batch = np.vstack([rng.normal(loc=(2, 2), scale=0.1, size=(16, 2)),

@@ -49,7 +49,6 @@ from .tensor import Graph, Tensor, backward, finite_difference_grad, straight_th
 from .vq import (
     Codebook,
     CodebookSpec,
-    QuantizeOutput,
     QuantizerLayer,
     QuantResult,
     ema_update,

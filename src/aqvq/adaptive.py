@@ -80,9 +80,9 @@ class CodebookPool:
         specs = list(specs)
         if not specs:
             raise ConfigError("codebook pool needs at least one structure")
-        if num_hiddens % num_heads != 0:
+        if num_heads < 1 or num_hiddens % num_heads != 0:
             raise ConfigError(
-                f"num_heads={num_heads} must divide num_hiddens={num_hiddens}"
+                f"num_heads={num_heads} must be at least 1 and divide num_hiddens={num_hiddens}"
             )
         m, h = len(specs), num_hiddens
         self.quantizers = [QuantizerLayer(spec, h, rng, trainable_codebook=trainable_codebooks,
@@ -144,8 +144,7 @@ def attention_logits(q: Tensor, pool: CodebookPool) -> Tensor:
             per_head_mixed.append(matmul(softmax(scores), vh))  # T x head_dim
     if pool.scores_qk_only:
         return mul_scalar(reduce(add, per_head_scores), 1.0 / pool.num_heads)
-    mixed = per_head_mixed[0] if len(per_head_mixed) == 1 else concat(per_head_mixed, axis=1)
-    return affine(mixed, pool.w_out, pool.b_out)
+    return affine(concat(per_head_mixed, axis=1), pool.w_out, pool.b_out)
 
 
 def gumbel_softmax(logits: Tensor, tau: float, hard: bool = True,
@@ -206,12 +205,11 @@ def adaptive_forward(z_e: Tensor, pool: CodebookPool, tau: float,
     assignments = []
     losses = []
     for layer in pool.quantizers:
-        z_d = layer.project_in(z_e)
-        out = quantize(z_d, layer.codebook, alpha=alpha, beta=beta)
-        candidates.append(reshape(layer.project_out(out.z_q), (t_rows, 1, pool.num_hiddens)))
-        assignments.append((layer.codebook, z_d.data, out.indices))
-        losses.append(out.vq_loss)
-    z_s = candidates[0] if pool.m == 1 else concat(candidates, axis=1)  # T x m x H
+        out = quantize(layer.project_in(z_e), layer.codebook, alpha=alpha, beta=beta)
+        candidates.append(layer.project_out(out.z_q))
+        assignments += out.assignments
+        losses.append(out.loss)
+    z_s = reshape(concat(candidates, axis=1), (t_rows, pool.m, pool.num_hiddens))
     mean_loss = mul_scalar(reduce(add, losses), 1.0 / pool.m)
     scores = gumbel_softmax(attention_logits(z_e, pool), tau, hard=hard, rng=rng)
     counts = np.bincount(scores.data.argmax(axis=1), minlength=pool.m)

@@ -79,7 +79,7 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
                           f"got {probe_size}")
     streams = rng_streams(config.seed)
     if state is None:
-        state = init_state(config, rng=streams["init"])
+        state = init_state(config)
     probe = dataset.val[: min(probe_size, dataset.val.shape[0])]
     report = RunReport()
     started = time.perf_counter()

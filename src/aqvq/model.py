@@ -169,9 +169,9 @@ def rng_streams(seed: int) -> dict:
     }
 
 
-def init_state(config: ModelConfig, rng: np.random.Generator | None = None) -> TrainState:
-    """Build parameters and quantizer for ``config`` (seeded by its seed)."""
-    rng = rng or rng_streams(config.seed)["init"]
+def init_state(config: ModelConfig) -> TrainState:
+    """Build parameters and quantizer for ``config``, from its seed's "init" stream."""
+    rng = rng_streams(config.seed)["init"]
     dtype = config.dtype
     h = config.num_hiddens
     params: dict = {}
@@ -284,10 +284,10 @@ def quantizer_output(z_rows: Tensor, state: TrainState, tau: float = 1.0,
     if isinstance(quantizer, CodebookPool):
         return adaptive_forward(z_rows, quantizer, tau, alpha=config.alpha,
                                 beta=config.beta, rng=rng, hard=True)
-    z_d = quantizer.project_in(z_rows)
-    out = vq_quantize(z_d, quantizer.codebook, alpha=config.alpha, beta=config.beta)
-    return QuantResult(z_q=quantizer.project_out(out.z_q), loss=out.vq_loss,
-                       assignments=[(quantizer.codebook, z_d.data, out.indices)])
+    out = vq_quantize(quantizer.project_in(z_rows), quantizer.codebook,
+                      alpha=config.alpha, beta=config.beta)
+    out.z_q = quantizer.project_out(out.z_q)
+    return out
 
 
 def forward_loss(x, state: TrainState, tau: float = 1.0,

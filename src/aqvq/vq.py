@@ -11,8 +11,8 @@ the loss weights are of ``quantize``.
 
 ``QuantizerLayer`` wraps a codebook together with the affine maps that
 carry hidden activations into and out of the codeword dimension.
-``QuantResult`` is what every quantizer kind hands back to the model: a
-fixed layer is the one-codebook case of an adaptive pool.
+``QuantResult`` is what ``quantize`` and every quantizer kind hand back
+to the model: a fixed layer is the one-codebook case of an adaptive pool.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .tensor import straight_through as _straight_through
 __all__ = [
     "CodebookSpec",
     "Codebook",
-    "QuantizeOutput",
     "QuantResult",
     "QuantizerLayer",
     "nearest_indices",
@@ -101,22 +100,13 @@ class Codebook:
 
 
 @dataclass
-class QuantizeOutput:
-    """Result of quantizing a batch of rows against one codebook."""
-
-    z_q: Tensor              # T x D, straight-through output
-    indices: np.ndarray      # T, selected codeword per row
-    vq_loss: Tensor          # beta * (codebook + alpha * commitment), scalar
-
-
-@dataclass
 class QuantResult:
-    """What a quantizer, fixed layer or adaptive pool, returns for T x H rows."""
+    """What ``quantize``, a fixed layer or an adaptive pool returns for T rows."""
 
-    z_q: Tensor              # T x H quantized rows, back in the hidden width
+    z_q: Tensor              # T quantized rows, as wide as the rows given in
     loss: Tensor             # the quantizer's term of the model loss
-    assignments: list        # (codebook, T x D projected rows, indices) per codebook
-    counts: np.ndarray | None = None  # selections per codebook; None for a fixed layer
+    assignments: list        # (codebook, T x D quantized rows, indices) per codebook
+    counts: np.ndarray | None = None  # selections per codebook; None without a selection
 
 
 def _rows_of(z, dtype) -> np.ndarray:
@@ -314,15 +304,17 @@ def _nearest_sorted(z: np.ndarray, codes: np.ndarray,
 
 
 def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,
-             beta: float = 1.0) -> QuantizeOutput:
+             beta: float = 1.0) -> QuantResult:
     """Quantize rows of ``z_e``; return the codewords and the VQ-VAE loss.
 
-    ``vq_loss`` is one graph node, ``beta * (m + alpha * m)`` with
+    The loss is one ``vq_loss`` graph node, ``beta * (m + alpha * m)`` with
     ``m = mean((z_e - e)^2)`` over all elements and ``e`` the selected
     codewords. The codebook term ``m`` sends its gradient to the
     codewords (only when they are trained by gradient), the commitment
     term ``alpha * m`` to ``z_e``. ``z_q`` carries the exact codeword
     values forward and the straight-through gradient back to ``z_e``.
+    ``assignments`` is the one ``(codebook, rows, indices)`` record that
+    ``ema_update`` learns from.
     """
     if alpha < 0 or beta < 0:
         raise ConfigError(f"loss weights must be nonnegative, got alpha={alpha} beta={beta}")
@@ -346,7 +338,7 @@ def quantize(z_e: Tensor, codebook: Codebook, alpha: float = 0.25,
         return ((g * alpha) * scale) * diff, codes
 
     loss = _node("vq_loss", (m + m * alpha) * beta, (z_e, embeddings), vjp)
-    return QuantizeOutput(_straight_through(z_e, Tensor(selected)), idx, loss)
+    return QuantResult(_straight_through(z_e, Tensor(selected)), loss, [(codebook, rows, idx)])
 
 
 def ema_update(codebook: Codebook, z_rows, indices, gamma: float, laplace_eps: float,

@@ -192,7 +192,8 @@ class TestCriterion2QuantizerExactness:
             np.testing.assert_array_equal(idx, brute_force_nearest(z, emb))
             from aqvq.vq import quantize
             out = quantize(Tensor(z), cb)
-            assert np.array_equal(out.z_q.data, emb[out.indices])
+            [(_, _, indices)] = out.assignments
+            assert np.array_equal(out.z_q.data, emb[indices])
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0
         report_pass(2, f"1000 random instances match the brute-force scan; "

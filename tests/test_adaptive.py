@@ -92,6 +92,11 @@ class TestAttentionLogits:
         with pytest.raises(ConfigError):
             _pool(8, 5, RNG(6), num_heads=2)
 
+    @pytest.mark.parametrize("num_heads", [0, -2])
+    def test_heads_must_be_positive(self, num_heads):
+        with pytest.raises(ConfigError, match="at least 1"):
+            _pool(8, 4, RNG(6), num_heads=num_heads)
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigError, match="at least one structure"):
             CodebookPool([], 4, RNG(6))
@@ -175,7 +180,7 @@ class TestAdaptiveQuantize:
         out = quantize(z_d, layer.codebook, alpha=0.25, beta=1.0)
         fixed_rows = layer.project_out(out.z_q)
         np.testing.assert_array_equal(result.z_q.data, fixed_rows.data)
-        assert result.loss.item() == out.vq_loss.item()
+        assert result.loss.item() == out.loss.item()
         assert result.counts.tolist() == [5]
 
     def test_one_hot_reproduces_selected_candidate(self):
@@ -202,7 +207,7 @@ class TestAdaptiveQuantize:
         per = []
         for layer in pool.quantizers:
             out = quantize(layer.project_in(z), layer.codebook, alpha=0.25, beta=1.0)
-            per.append(out.vq_loss.item())
+            per.append(out.loss.item())
         assert abs(extra.item() - float(np.mean(per))) < 1e-12
 
     def test_extra_loss_invariant_to_selection(self):

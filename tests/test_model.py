@@ -161,10 +161,11 @@ class TestGraphSize:
     """Nodes of one forward_loss graph: the VQ-VAE objective is one node
     per codebook."""
 
-    @pytest.mark.parametrize("quantizer,nodes", [("adaptive", 87), ("fixed", 26)])
-    def test_nodes_per_forward_loss(self, quantizer, nodes):
+    @pytest.mark.parametrize("quantizer,capacity,nodes", [
+        ("adaptive", 64, 85), ("adaptive", 4096, 115), ("fixed", 64, 26)])
+    def test_nodes_per_forward_loss(self, quantizer, capacity, nodes):
         cfg = dense_config(input_shape=(8,), num_hiddens=16, quantizer=quantizer,
-                           codebook_n=16, codebook_d=4, capacity=64)
+                           codebook_n=16, codebook_d=4, capacity=capacity)
         x = RNG(0).normal(size=(64, 8))
         loss, _, _ = forward_loss(x, init_state(cfg), rng=RNG(1))
         assert len(Graph(loss).nodes) == nodes

@@ -4,6 +4,7 @@ by. A renamed or moved function would leave its span empty without any
 error, so every wrapped name must record a span in a short run."""
 
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,16 @@ def test_every_layer_wrapper_records_a_span(workload):
     assert recorded == wrapped
     assert {"tensor.conv2d_3x3", "tensor.conv2d_3x3.bwd", "vq.nearest_indices"} <= recorded
     assert {"tensor.graph_nodes", "vq.nearest_indices"} <= counters
+
+
+def test_fixed_quantizer_records_a_quantize_span(workload):
+    source, config = workload.make_inputs("dense-w64", 11, 0)
+    tracer = workload.Tracer()
+    workload.install_layer_wrappers(tracer)
+    try:
+        experiments.train_run(replace(config, quantizer="fixed"), data.synth_dataset(source), 2)
+    finally:
+        tracer.unpatch()
+    recorded = {span.name for span in tracer.spans}
+    assert "vq.quantize" in recorded
+    assert "adaptive.adaptive_forward" not in recorded

@@ -412,21 +412,26 @@ class TestNearestIndices:
 class TestQuantize:
     def test_worked_loss_example(self):
         cb = Codebook([[1.0, 1.0], [5.0, 5.0]])
-        out = quantize(Tensor([[0.9, 0.8]], requires_grad=True), cb, alpha=0.25, beta=1.0)
-        assert out.indices.tolist() == [0]
+        z = Tensor([[0.9, 0.8]], requires_grad=True)
+        out = quantize(z, cb, alpha=0.25, beta=1.0)
+        assert out.counts is None
+        [(codebook, rows, indices)] = out.assignments
+        assert codebook is cb
+        assert np.array_equal(rows, z.data)
+        assert indices.tolist() == [0]
         # both terms are mean((z - e)^2) = (0.01 + 0.04) / 2 = 0.025
-        np.testing.assert_allclose(out.vq_loss.item(), 1.0 * (0.025 + 0.25 * 0.025))
+        np.testing.assert_allclose(out.loss.item(), 1.0 * (0.025 + 0.25 * 0.025))
 
     def test_zero_residual_zero_losses(self):
         cb = Codebook([[0.5, -0.5], [3.0, 3.0]])
         out = quantize(Tensor([[0.5, -0.5]]), cb)
-        assert out.vq_loss.item() == 0.0
+        assert out.loss.item() == 0.0
 
     def test_beta_zero_kills_vq_loss(self):
         cb = Codebook([[1.0, 1.0], [5.0, 5.0]])
         out = quantize(Tensor([[0.9, 0.8]]), cb, beta=0.0)
-        assert out.vq_loss.item() == 0.0
-        assert quantize(Tensor([[0.9, 0.8]]), cb, beta=1.0).vq_loss.item() > 0.0
+        assert out.loss.item() == 0.0
+        assert quantize(Tensor([[0.9, 0.8]]), cb, beta=1.0).loss.item() > 0.0
 
     def test_rows_bit_identical_to_codewords(self):
         rng = RNG(7)
@@ -434,7 +439,8 @@ class TestQuantize:
         cb = Codebook(emb)
         z = Tensor(rng.normal(size=(30, 5)))
         out = quantize(z, cb)
-        assert np.array_equal(out.z_q.data, emb[out.indices])
+        [(_, _, indices)] = out.assignments
+        assert np.array_equal(out.z_q.data, emb[indices])
 
     def test_empty_batch_rejected(self):
         cb = Codebook(np.zeros((2, 2)))
@@ -452,8 +458,9 @@ class TestQuantize:
         for alpha, beta in [(0.25, 1.0), (0.5, 0.2), (10.0, 5.0)]:
             z = rng.normal(size=(11, 4))
             out = quantize(Tensor(z), cb, alpha=alpha, beta=beta)
-            expected = beta * (1.0 + alpha) * np.mean((z - cb.embeddings.data[out.indices]) ** 2)
-            assert abs(out.vq_loss.item() - expected) < 1e-12
+            [(_, _, indices)] = out.assignments
+            expected = beta * (1.0 + alpha) * np.mean((z - cb.embeddings.data[indices]) ** 2)
+            assert abs(out.loss.item() - expected) < 1e-12
 
     def test_codebook_gradient_via_codebook_loss(self):
         # trainable codebook: gradient reaches only the selected rows
@@ -462,10 +469,11 @@ class TestQuantize:
         cb = Codebook(emb, trainable=True)
         z = Tensor(rng.normal(size=(6, 2)))
         out = quantize(z, cb)
-        backward(out.vq_loss)
+        backward(out.loss)
         grad = cb.embeddings.grad
         assert grad is not None
-        unselected = sorted(set(range(4)) - set(out.indices.tolist()))
+        [(_, _, indices)] = out.assignments
+        unselected = sorted(set(range(4)) - set(indices.tolist()))
         for j in unselected:
             np.testing.assert_array_equal(grad[j], 0.0)
 
@@ -497,7 +505,7 @@ class TestQuantize:
             backward(mul_scalar(loss, scale))
             return loss, z, cb
 
-        loss, z, cb = run(lambda z, cb: quantize(z, cb, alpha=alpha, beta=beta).vq_loss)
+        loss, z, cb = run(lambda z, cb: quantize(z, cb, alpha=alpha, beta=beta).loss)
         ref, z_ref, cb_ref = run(lambda z, cb: reference_vq_loss(z, cb, alpha, beta))
         assert loss.data.dtype == ref.data.dtype == dtype
         assert np.array_equal(loss.data, ref.data)
@@ -555,9 +563,9 @@ class TestQuantizerTransparency:
         z1 = Tensor(rows.copy(), requires_grad=True)
         out = quantize(z1, cb)
         assert np.array_equal(out.z_q.data, z1.data)
-        assert out.vq_loss.item() == 0.0
+        assert out.loss.item() == 0.0
         from aqvq.tensor import add
-        loss1 = add(mse(matmul(out.z_q, Tensor(a_data)), target), out.vq_loss)
+        loss1 = add(mse(matmul(out.z_q, Tensor(a_data)), target), out.loss)
         backward(loss1)
 
         z2 = Tensor(rows.copy(), requires_grad=True)
@@ -728,4 +736,4 @@ class TestProjections:
         rows = layer.project_out(out.z_q)
         assert rows.data.shape == (10, 4)
         assert out.z_q.data.shape == (10, 2)
-        assert out.indices.shape == (10,)
+        assert out.assignments[0][2].shape == (10,)
