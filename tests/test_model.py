@@ -162,7 +162,9 @@ class TestGraphSize:
     per codebook."""
 
     @pytest.mark.parametrize("quantizer,capacity,nodes", [
-        ("adaptive", 64, 85), ("adaptive", 4096, 115), ("fixed", 64, 26)])
+        pytest.param("adaptive", 64, 85, id="adaptive-85"),
+        pytest.param("adaptive", 4096, 115, id="adaptive-w4096-115"),
+        pytest.param("fixed", 64, 26, id="fixed-26")])
     def test_nodes_per_forward_loss(self, quantizer, capacity, nodes):
         cfg = dense_config(input_shape=(8,), num_hiddens=16, quantizer=quantizer,
                            codebook_n=16, codebook_d=4, capacity=capacity)
