@@ -14,6 +14,7 @@ from .adaptive import (
     attention_logits,
     enumerate_structures,
     gumbel_softmax,
+    selected_forward,
     temperature,
     usage_histogram,
 )

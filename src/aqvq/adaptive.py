@@ -2,13 +2,19 @@
 
 All candidate codebooks share one capacity: the product of codebook
 size and codeword dimension is held constant while the split varies.
-Every incoming row is quantized by every candidate, an attention score
-over learned per-codebook keys ranks the candidates, and a hard
-Gumbel-Softmax draw picks one per row while keeping the soft scores in
+An attention score over learned per-codebook keys ranks the candidates,
+and a hard Gumbel-Softmax draw picks one per row (``selection``).
+
+In training, ``adaptive_forward`` quantizes every incoming row by every
+candidate, because the loss averages all m candidates' terms, the EMA
+learns from every candidate's assignments and the soft scores stay in
 the gradient path. The combination is a batched matrix product of the
 one-hot scores with the stacked candidate outputs, so the forward pass
-reproduces the selected candidate exactly. ``adaptive_forward`` returns
-the same ``QuantResult`` as a fixed layer, plus the selection counts.
+reproduces the selected candidate exactly. In evaluation the draw has
+no noise and temperature 1, so the pick depends on the rows alone:
+``selected_forward`` makes it first and quantizes each row by the one
+codebook it picked, with the same bytes. Both return the same
+``QuantResult`` as a fixed layer, plus the selection counts.
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ __all__ = [
     "attention_logits",
     "gumbel_softmax",
     "temperature",
+    "selection",
     "adaptive_forward",
+    "selected_forward",
     "usage_histogram",
 ]
 
@@ -189,6 +197,13 @@ def temperature(iterations: int, batch_index: int, mode: str) -> float:
     return float(iterations - batch_index) + 1.0
 
 
+def selection(z_e: Tensor, pool: CodebookPool, tau: float, hard: bool = True,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """The T x m selection scores of ``z_e``'s rows: a Gumbel-Softmax draw
+    over their attention logits; the pick of a row is its argmax."""
+    return gumbel_softmax(attention_logits(z_e, pool), tau, hard=hard, rng=rng)
+
+
 def adaptive_forward(z_e: Tensor, pool: CodebookPool, tau: float,
                      alpha: float = 0.25, beta: float = 1.0,
                      rng: np.random.Generator | None = None,
@@ -211,11 +226,50 @@ def adaptive_forward(z_e: Tensor, pool: CodebookPool, tau: float,
         losses.append(out.loss)
     z_s = reshape(concat(candidates, axis=1), (t_rows, pool.m, pool.num_hiddens))
     mean_loss = mul_scalar(reduce(add, losses), 1.0 / pool.m)
-    scores = gumbel_softmax(attention_logits(z_e, pool), tau, hard=hard, rng=rng)
+    scores = selection(z_e, pool, tau, hard=hard, rng=rng)
     counts = np.bincount(scores.data.argmax(axis=1), minlength=pool.m)
     combined = bmm(reshape(scores, (t_rows, 1, pool.m)), z_s)
     return QuantResult(z_q=reshape(combined, (t_rows, pool.num_hiddens)),
                        loss=mean_loss,
+                       assignments=assignments, counts=counts)
+
+
+def selected_forward(z_e: Tensor, pool: CodebookPool, alpha: float = 0.25,
+                     beta: float = 1.0) -> QuantResult:
+    """Quantize each row by the one codebook it selects, without noise at
+    temperature 1: the evaluation-time ``adaptive_forward``.
+
+    The pick is made first, as ``adaptive_forward`` makes it, and only
+    the rows that picked a codebook are searched in it. ``z_q`` has the
+    bytes of ``adaptive_forward``'s: the projections run over the whole
+    batch, because BLAS can round a row differently in a product of
+    another shape, and a row searched alone in a batch of several is
+    searched as a pair with itself, because BLAS scores a lone row with
+    another kernel than a block. The loss is the selected candidate's
+    vq term, weighted by its rows; it is a value for reporting, not a
+    node of the graph.
+    """
+    if z_e.data.ndim != 2:
+        raise DimensionError(f"adaptive quantization expects T x H rows, got {z_e.data.shape}")
+    t_rows = z_e.data.shape[0]
+    if t_rows == 0:
+        raise ContractError("cannot quantize an empty batch")
+    picks = selection(z_e, pool, 1.0).data.argmax(axis=1)
+    counts = np.bincount(picks, minlength=pool.m)
+    z_q = np.empty((t_rows, pool.num_hiddens), dtype=z_e.dtype)
+    loss = 0.0
+    assignments = []
+    for i in np.flatnonzero(counts):
+        layer, rows = pool.quantizers[i], np.flatnonzero(picks == i)
+        projected = layer.project_in(z_e).data
+        searched = np.repeat(rows, 2) if rows.size == 1 < t_rows else rows
+        out = quantize(Tensor(projected[searched]), layer.codebook, alpha=alpha, beta=beta)
+        codewords = np.zeros_like(projected)
+        codewords[rows] = out.z_q.data[: rows.size]
+        z_q[rows] = layer.project_out(Tensor(codewords)).data[rows]
+        loss += out.loss.item() * (rows.size / t_rows)
+        assignments += out.assignments
+    return QuantResult(z_q=Tensor(z_q), loss=Tensor(loss, dtype=z_e.dtype),
                        assignments=assignments, counts=counts)
 
 

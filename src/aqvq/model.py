@@ -6,9 +6,10 @@ convolutional path (two stride-2 3x3 convolutions down, nearest
 upsample plus convolution back up, one latent row per spatial
 position). The quantizer between them is a fixed codebook, an adaptive
 pool, or nothing at all (plain autoencoder). ``quantizer_output`` is the
-one place that tells the two quantizer kinds apart; both hand back a
-``QuantResult``, so the loss, training and evaluation code never branch
-on the kind.
+one place that tells the two quantizer kinds apart in training; both
+hand back a ``QuantResult``, so the loss and training code never branch
+on the kind. ``evaluate`` alone quantizes an adaptive pool's rows
+another way: each by the one codebook it selects.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .adaptive import CodebookPool, adaptive_forward, enumerate_structures
+from .adaptive import CodebookPool, adaptive_forward, enumerate_structures, selected_forward
 from .errors import ConfigError, ContractError, DimensionError, NumericError, check_config
 from .tensor import (
     Tensor,
@@ -299,7 +300,11 @@ def forward_loss(x, state: TrainState, tau: float = 1.0,
     """
     t = _as_input(x, state.config)
     z_e = encode(t, state)
-    q = quantizer_output(z_e, state, tau=tau, rng=rng)
+    return _loss(t, z_e, quantizer_output(z_e, state, tau=tau, rng=rng), state)
+
+
+def _loss(t: Tensor, z_e: Tensor, q: QuantResult | None, state: TrainState):
+    """``forward_loss`` of the batch ``t``, encoded as ``z_e`` and quantized as ``q``."""
     recon = mse(t, decode(z_e if q is None else q.z_q, state))
     if q is None:
         return recon, {"recon": recon.item(), "vq": 0.0}, None
@@ -357,23 +362,35 @@ def train_step(x, state: TrainState, tau: float = 1.0,
 def evaluate(data, state: TrainState, batch_size: int = 256) -> dict:
     """Deterministic validation pass; never mutates the state.
 
-    Selection noise is off and the selection temperature is fixed at 1.
-    ``recon_loss_sum`` accumulates per-sample losses (mean over each
-    sample's elements, summed over samples), so its value does not
+    Selection noise is off and the selection temperature is fixed at 1,
+    so an adaptive pool's pick depends on the rows alone: each row is
+    quantized only by the codebook it selects (``selected_forward``),
+    which reconstructs it with the same bytes as training's all-candidate
+    pass. ``recon_loss_sum`` accumulates per-sample losses (mean over
+    each sample's elements, summed over samples), so its value does not
     depend on the evaluation batch size; the mean is per batch. The
-    ``vq_loss_*`` figures sum the quantizer term the same way.
+    ``vq_loss_*`` figures sum the quantizer term the same way; for an
+    adaptive pool that term is the selected candidates', weighted by
+    their rows, not the mean over all m candidates that training
+    minimizes. Every value is a Python int or float.
     """
     if batch_size < 1:
         raise ContractError(f"evaluation batch size must be at least 1, got {batch_size}")
-    arr = np.asarray(data, dtype=state.config.dtype)
+    config = state.config
+    arr = np.asarray(data, dtype=config.dtype)
     if arr.shape[0] == 0:
         raise ContractError("cannot evaluate on an empty split")
+    pool = state.quantizer if isinstance(state.quantizer, CodebookPool) else None
     recon_sum = 0.0
     quant_sum = 0.0
     n_batches = 0
     for start in range(0, arr.shape[0], batch_size):
         batch = arr[start : start + batch_size]
-        _, parts, _ = forward_loss(batch, state, tau=1.0, rng=None)
+        t = _as_input(batch, config)
+        z_e = encode(t, state)
+        q = (quantizer_output(z_e, state) if pool is None
+             else selected_forward(z_e, pool, alpha=config.alpha, beta=config.beta))
+        _, parts, _ = _loss(t, z_e, q, state)
         recon_sum += parts["recon"] * batch.shape[0]
         quant_sum += parts["vq"] * batch.shape[0]
         n_batches += 1

@@ -140,9 +140,11 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
 
     The augmented codebook, a (D+1) x padded array, is built once per
     call; each tile is scored into a single reused T x width buffer of
-    about TILE_ELEMENTS elements, and tiles are merged with a strict
-    ``<``, so an earlier tile keeps a tie. Rows holding NaN or inf raise
-    ``NumericError``.
+    about TILE_ELEMENTS elements, and each tile's smallest score and its
+    index are kept per row. One ``argmin`` across the tiles' smallest
+    scores then merges them: it takes the first of equal ones, so an
+    earlier tile keeps a tie, and the pick is the argmin of the row's
+    whole score vector. Rows holding NaN or inf raise ``NumericError``.
 
     Every tile has the same width, a whole multiple of PANEL codewords;
     the columns past the last codeword are zero codewords whose
@@ -187,7 +189,7 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
         q[:, :d] = scaled
     buf = np.empty((rows, width), dtype=emb.dtype)
 
-    def tile_argmin(start):
+    def score(start):
         tile = codes[:, start : start + width]
         if d == 1:
             np.multiply(scaled, tile[0], out=buf)
@@ -195,19 +197,19 @@ def nearest_indices(z_rows, codebook: Codebook) -> np.ndarray:
             np.add(buf, tile[1], out=buf)
         else:
             np.matmul(q, tile, out=buf)
-        return buf.argmin(axis=1)
 
-    best = tile_argmin(0)
-    if padded > width:
-        picks = np.arange(rows)
-        best_d2 = buf[picks, best]
-        for start in range(width, padded, width):
-            idx = tile_argmin(start)
-            d2 = buf[picks, idx]
-            closer = d2 < best_d2
-            best[closer] = idx[closer] + start
-            best_d2[closer] = d2[closer]
-    return best
+    if padded == width:
+        score(0)
+        return buf.argmin(axis=1)
+    tiles, picks = padded // width, np.arange(rows)
+    best = np.empty((tiles, rows), dtype=np.intp)
+    low = np.empty((tiles, rows), dtype=emb.dtype)
+    for k in range(tiles):
+        score(k * width)
+        buf.argmin(axis=1, out=best[k])
+        low[k] = buf[picks, best[k]]
+    tile = low.argmin(axis=0)
+    return best[tile, picks] + tile * width
 
 
 def _augmented(emb: np.ndarray, padded: int) -> np.ndarray:

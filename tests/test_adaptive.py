@@ -4,12 +4,14 @@ Gumbel-Softmax selection, temperature schedule, combination, usage."""
 import numpy as np
 import pytest
 
+import aqvq.adaptive
 from aqvq.adaptive import (
     CodebookPool,
     adaptive_forward,
     attention_logits,
     enumerate_structures,
     gumbel_softmax,
+    selected_forward,
     temperature,
     usage_histogram,
 )
@@ -254,6 +256,74 @@ class TestAdaptiveQuantize:
         pool = _pool(8, 4, RNG(14))
         with pytest.raises(ContractError):
             adaptive_forward(Tensor(np.zeros((0, 4))), pool, tau=1.0)
+
+
+def _force_picks(monkeypatch, picks, m):
+    """Make every pool pick codebook ``picks[t]`` for row t."""
+    logits = np.zeros((len(picks), m))
+    logits[np.arange(len(picks)), picks] = 10.0
+    monkeypatch.setattr(aqvq.adaptive, "attention_logits", lambda q, pool: Tensor(logits))
+
+
+class TestSelectedForward:
+    def test_rows_match_adaptive_forward(self, monkeypatch):
+        rng = RNG(15)
+        pool = _pool(64, 16, rng)  # [16,4], [32,2], [64,1]
+        z = Tensor(rng.normal(size=(9, 16)))
+        _force_picks(monkeypatch, [2, 0, 0, 1, 0, 2, 2, 0, 0], pool.m)
+        result = selected_forward(z, pool)
+        reference = adaptive_forward(z, pool, tau=1.0, rng=None)
+        np.testing.assert_array_equal(result.z_q.data, reference.z_q.data)
+        assert result.counts.tolist() == reference.counts.tolist() == [5, 1, 3]
+
+    def test_lone_row_picks_as_in_the_batch(self, monkeypatch):
+        # codewords one ulp apart: BLAS scores a row searched alone with
+        # another kernel than a batch, which can order such codewords
+        # differently, so a lone row must still get the batch's pick
+        for seed in range(30):
+            rng = RNG(seed)
+            dtype = np.float32 if seed % 2 else np.float64
+            pool = _pool(64, 4, rng, dtype=dtype)  # [16,4] first
+            layer = pool.quantizers[0]
+            layer.w_in.data[:] = np.eye(4)
+            codes = np.repeat(rng.normal(size=(4, 4)), 4, axis=0).astype(dtype)
+            for j in range(4, 16):
+                codes[j, j % 4] = np.nextafter(codes[j, j % 4], dtype(np.inf if j % 3 else -np.inf))
+            layer.codebook.embeddings.data[:] = codes
+            z = Tensor(rng.normal(size=(8, 4)).astype(dtype))
+            for lone in range(8):
+                _force_picks(monkeypatch, [int(t == lone) ^ 1 for t in range(8)], pool.m)
+                np.testing.assert_array_equal(selected_forward(z, pool).z_q.data,
+                                              adaptive_forward(z, pool, tau=1.0).z_q.data)
+
+    def test_loss_is_selected_terms_weighted_by_rows(self, monkeypatch):
+        rng = RNG(16)
+        pool = _pool(64, 16, rng)
+        z = Tensor(rng.normal(size=(8, 16)))
+        picks = np.array([1, 1, 0, 2, 2, 2, 0, 1])
+        _force_picks(monkeypatch, picks, pool.m)
+        want = 0.0
+        for i, layer in enumerate(pool.quantizers):
+            rows = Tensor(layer.project_in(z).data[picks == i])
+            want += quantize(rows, layer.codebook, alpha=0.5, beta=2.0).loss.item() * (
+                rows.data.shape[0] / 8)
+        got = selected_forward(z, pool, alpha=0.5, beta=2.0).loss.item()
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_single_codebook_pool_matches_adaptive_forward(self):
+        rng = RNG(17)
+        pool = _pool(2, 4, rng)
+        z = Tensor(rng.normal(size=(5, 4)))
+        result = selected_forward(z, pool)
+        reference = adaptive_forward(z, pool, tau=1.0)
+        np.testing.assert_array_equal(result.z_q.data, reference.z_q.data)
+        assert result.loss.item() == reference.loss.item()
+        assert result.counts.tolist() == [5]
+
+    def test_empty_rows_rejected(self):
+        pool = _pool(8, 4, RNG(18))
+        with pytest.raises(ContractError):
+            selected_forward(Tensor(np.zeros((0, 4))), pool)
 
 
 class TestUsageHistogram:

@@ -3,10 +3,13 @@ evaluation purity, and equivalence with a hand-rolled autoencoder."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aqvq.model
 import aqvq.vq
 from helpers import HandAutoencoder, fixed_surrogate, reference_adam_update
+from aqvq.adaptive import selection
 from aqvq.errors import ConfigError, ContractError, DimensionError, NumericError
 from aqvq.model import (
     ModelConfig,
@@ -369,6 +372,80 @@ class TestEvaluate:
         with pytest.raises(ContractError, match="batch size must be at least 1"):
             evaluate(RNG(17).normal(size=(4, 6)), state, batch_size=batch_size)
 
+    @pytest.mark.parametrize("kind", ["fixed", "none"])
+    def test_fixed_and_plain_sums_are_forward_loss_parts(self, kind):
+        state = init_state(dense_config(quantizer=kind))
+        x = RNG(19).normal(size=(10, 6))
+        result = evaluate(x, state, batch_size=4)
+        assert (result["recon_loss_sum"], result["vq_loss_sum"]) == _forward_loss_sums(x, state, 4)
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("kind", ["fixed", "adaptive", "none"])
+    def test_every_value_is_a_python_number(self, kind, precision):
+        # the benchmark checks each value with np.isfinite and compares
+        # whole results with ==, which a list or an array would break
+        state = init_state(dense_config(quantizer=kind, capacity=8, precision=precision))
+        result = evaluate(RNG(18).normal(size=(10, 6)), state, batch_size=4)
+        assert {type(v) for v in result.values()} <= {int, float}
+
+
+def _forward_loss_sums(x, state, batch_size):
+    """``evaluate``'s recon and vq sums, from ``forward_loss`` at tau 1 without noise."""
+    recon = vq = 0.0
+    for start in range(0, x.shape[0], batch_size):
+        batch = x[start : start + batch_size]
+        _, parts, _ = forward_loss(batch, state, tau=1.0, rng=None)
+        recon += parts["recon"] * batch.shape[0]
+        vq += parts["vq"] * batch.shape[0]
+    return recon, vq
+
+
+def _spread_picks(state, scale):
+    """Scale the pool's query maps, so that its picks vary more across rows."""
+    for w in state.quantizer.wq:
+        w.data *= scale
+
+
+class TestSelectionFirstEvaluation:
+    """``evaluate`` quantizes each row of an adaptive pool only by the
+    codebook it selects, and reconstructs it as the all-candidate pass does."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_property_recon_matches_all_candidate_pass(self, data):
+        conv = data.draw(st.booleans(), "conv")
+        cfg = dense_config(
+            quantizer="adaptive", capacity=data.draw(st.sampled_from([8, 64, 256]), "capacity"),
+            precision=data.draw(st.sampled_from(["double", "single"]), "precision"),
+            seed=data.draw(st.integers(0, 1000), "seed"),
+            **(dict(encoder_arch="small_conv", input_shape=(1, 8, 8)) if conv else {}))
+        state = init_state(cfg)
+        _spread_picks(state, data.draw(st.sampled_from([1.0, 10.0, 100.0, 1000.0]), "scale"))
+        samples = data.draw(st.integers(1, 16), "samples")
+        x = RNG(data.draw(st.integers(0, 1000), "data seed")).normal(
+            size=(samples,) + cfg.input_shape)
+        batch_size = data.draw(st.integers(1, 16), "batch size")
+        want = _forward_loss_sums(x, state, batch_size)[0]
+        assert evaluate(x, state, batch_size)["recon_loss_sum"].hex() == want.hex()
+
+    def test_searches_only_selected_codebooks(self, monkeypatch):
+        state = init_state(dense_config(quantizer="adaptive", capacity=64))
+        _spread_picks(state, 10.0)
+        x = RNG(0).normal(size=(16, 6))
+        picks = selection(encode(x, state), state.quantizer, 1.0).data.argmax(axis=1)
+        selected = {id(state.codebooks[i]) for i in picks}
+        assert 2 <= len(selected) < state.quantizer.m
+        searched = []
+        search = aqvq.vq.nearest_indices
+
+        def spy(rows, codebook):
+            searched.append(id(codebook))
+            return search(rows, codebook)
+
+        monkeypatch.setattr(aqvq.vq, "nearest_indices", spy)
+        evaluate(x, state)
+        assert sorted(searched) == sorted(selected)
+
 
 class TestConfigFlags:
     def test_qk_only_scoring_trains(self):
@@ -413,10 +490,10 @@ class TestPrecisionOption:
         cfg = dense_config(precision="single", **self.CONFIGS[name])
         state = init_state(cfg)
         nodes, row_dtypes = [], []
-        forward = aqvq.model.forward_loss
+        loss = aqvq.model._loss
 
-        def recording_forward(*args, **kwargs):
-            out = forward(*args, **kwargs)
+        def recording_loss(*args, **kwargs):
+            out = loss(*args, **kwargs)
             nodes.extend(Graph(out[0]).nodes)
             return out
 
@@ -429,7 +506,7 @@ class TestPrecisionOption:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        monkeypatch.setattr(aqvq.model, "forward_loss", recording_forward)
+        monkeypatch.setattr(aqvq.model, "_loss", recording_loss)
         spy(aqvq.vq, "nearest_indices", 0)
         spy(aqvq.model, "ema_update", 1)
         x = RNG(22).normal(size=(8,) + cfg.input_shape)
