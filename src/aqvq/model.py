@@ -367,8 +367,10 @@ def evaluate(data, state: TrainState, batch_size: int = 256) -> dict:
     quantized only by the codebook it selects (``selected_forward``),
     which reconstructs it with the same bytes as training's all-candidate
     pass. ``recon_loss_sum`` accumulates per-sample losses (mean over
-    each sample's elements, summed over samples), so its value does not
-    depend on the evaluation batch size; the mean is per batch. The
+    each sample's elements, summed over samples); the mean is per batch.
+    The sum depends on the evaluation batch size in its last bits: each
+    batch adds its mean times its rows, and BLAS rounds a row differently
+    in a product of another shape (a single row goes through gemv). The
     ``vq_loss_*`` figures sum the quantizer term the same way; for an
     adaptive pool that term is the selected candidates', weighted by
     their rows, not the mean over all m candidates that training

@@ -4,9 +4,11 @@ Checkpoints (format 3) are JSON documents holding one map of named
 arrays, each stored as base64 of its C-order little-endian bytes, so
 save/load round-trips are bit-exact on any host and a double save is
 byte-identical; files of earlier formats (version 2 stored one hex
-string per float) are rejected. Run reports collect per-step metrics
-and a summary; they serialize to JSON and to plot-ready CSV with
-identical values.
+string per float) are rejected. A checkpoint is written as the indented
+JSON of its document with empty payloads, each array's base64 written
+into its field as it is (base64 needs no escaping), and it replaces its
+target atomically. Run reports collect per-step metrics and a summary;
+they serialize to JSON and to plot-ready CSV with identical values.
 ``write_csv`` and ``write_json`` are the one table writer and the one
 document writer that checkpoints, reports, sweeps and ablations go
 through; both replace their target atomically.
@@ -51,17 +53,14 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _encode_array(arr: np.ndarray) -> dict:
+def _payload(arr: np.ndarray) -> str:
+    """Base64 of ``arr``'s C-order little-endian bytes."""
     little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    return {
-        "shape": list(arr.shape),
-        "dtype": str(arr.dtype),
-        "b64": base64.b64encode(little.tobytes()).decode("ascii"),
-    }
+    return base64.b64encode(little.tobytes()).decode("ascii")
 
 
 def _decode_array(doc: dict) -> np.ndarray:
-    """The array ``_encode_array`` stored as ``doc``: a ValueError if its
+    """The array ``save_checkpoint`` stored as ``doc``: a ValueError if its
     payload is not base64 of exactly the bytes its shape and dtype need."""
     dtype = np.dtype(doc["dtype"]).newbyteorder("<")
     raw = base64.b64decode(doc["b64"], validate=True)
@@ -87,7 +86,15 @@ def _state_arrays(state: TrainState) -> dict:
 
 
 def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = None) -> None:
-    """Write ``state`` to ``path`` as a versioned, bit-exact JSON document."""
+    """Write ``state`` to ``path`` as a versioned, bit-exact JSON document,
+    replacing ``path`` atomically.
+
+    The text around the payloads is ``json.dumps(doc, indent=1)`` of the
+    document with every payload empty; each array's base64 is written into
+    its empty field as it is, since base64 never needs JSON escaping. The
+    file is byte for byte what ``write_json`` writes for the full document.
+    """
+    arrays = _state_arrays(state)
     doc = {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -96,9 +103,24 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
         },
         "step": state.step,
         "adam_t": state.adam_t,
-        "arrays": {name: _encode_array(arr) for name, arr in _state_arrays(state).items()},
+        "arrays": {name: {"shape": list(arr.shape), "dtype": str(arr.dtype), "b64": ""}
+                   for name, arr in arrays.items()},
     }
-    write_json(path, doc)
+    # Only the arrays hold a "b64" field, and a quote inside any string of
+    # the config is escaped, so the split cuts the text at the arrays alone,
+    # in their order.
+    pieces = json.dumps(doc, indent=1).split('"b64": ""')
+
+    def write(fh):
+        fh.write(pieces[0])
+        for arr, piece in zip(arrays.values(), pieces[1:], strict=True):
+            fh.write('"b64": "')
+            fh.write(_payload(arr))
+            fh.write('"')
+            fh.write(piece)
+        fh.write("\n")
+
+    _write_atomically(path, write)
 
 
 def read_json(path, kind: str):

@@ -1,12 +1,16 @@
 """Shared test oracles: brute-force scans, the dense distance scan, an
 einsum convolution, the VQ-VAE objective as separate graph nodes, the
 EMA update over whole N x D arrays, the per-parameter Adam loop, a
-hand-rolled autoencoder, and frozen-residual surrogates for gradient
-checking through the straight-through paths."""
+hand-rolled autoencoder, frozen-residual surrogates for gradient
+checking through the straight-through paths, and a checkpoint's whole
+document for ``write_json``."""
+
+import base64
 
 import numpy as np
 
 from aqvq.model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, decode, encode, forward_loss
+from aqvq.persist import FORMAT_VERSION, _state_arrays
 from aqvq.tensor import (
     Tensor,
     add,
@@ -292,3 +296,24 @@ def adaptive_surrogate(state, x, tau=1.0, hard=True):
         return add(recon, extra)
 
     return actual, surrogate
+
+
+def checkpoint_document(state, dataset=None):
+    """The whole document a checkpoint of ``state`` holds, every array's
+    base64 payload in place: ``write_json`` of it writes the bytes
+    ``save_checkpoint`` must write."""
+    def entry(arr):
+        little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+        return {"shape": list(arr.shape), "dtype": str(arr.dtype),
+                "b64": base64.b64encode(little.tobytes()).decode("ascii")}
+
+    return {
+        "format_version": FORMAT_VERSION,
+        "config": {
+            "model": state.config.to_dict(),
+            "dataset": dataset.to_dict() if dataset is not None else None,
+        },
+        "step": state.step,
+        "adam_t": state.adam_t,
+        "arrays": {name: entry(arr) for name, arr in _state_arrays(state).items()},
+    }

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import checkpoint_document
 from aqvq.data import DatasetSource
 from aqvq.errors import CheckpointError, ConfigError, ContractError, FormatError
 from aqvq.model import ModelConfig, evaluate, init_state, train_step
@@ -27,10 +28,10 @@ from aqvq.persist import (
 RNG = np.random.default_rng
 
 
-def trained_state(quantizer="fixed", use_ema=True, steps=5, seed=0):
+def trained_state(quantizer="fixed", use_ema=True, steps=5, seed=0, precision="double"):
     cfg = ModelConfig(input_shape=(6,), num_hiddens=8, quantizer=quantizer,
                       codebook_n=8, codebook_d=2, capacity=8, use_ema=use_ema,
-                      learning_rate=1e-3, seed=seed)
+                      learning_rate=1e-3, seed=seed, precision=precision)
     state = init_state(cfg)
     rng = RNG(seed)
     for _ in range(steps):
@@ -153,6 +154,50 @@ class TestCheckpointRoundTrip:
         assert read_checkpoint(tmp_path / "bare.json")[1] is None
 
 
+# A recipe whose one string holds the text the save splits its document at,
+# a quote, a backslash and a non-ASCII character.
+AWKWARD_RECIPE = DatasetSource(kind="idx_images",
+                               images_path='dir/"b64": "" \\ \u00e9.idx')
+
+
+class TestStreamedSave:
+    @pytest.mark.parametrize("dataset", [None, DatasetSource(clusters=3, seed=9),
+                                         AWKWARD_RECIPE], ids=["bare", "recipe", "awkward"])
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("quantizer,use_ema", [
+        ("fixed", True), ("fixed", False), ("adaptive", True), ("none", True),
+    ])
+    def test_bytes_equal_write_json_of_whole_document(self, tmp_path, quantizer, use_ema,
+                                                      precision, dataset):
+        state = trained_state(quantizer=quantizer, use_ema=use_ema, precision=precision)
+        save_checkpoint(state, tmp_path / "saved.json", dataset=dataset)
+        write_json(tmp_path / "oracle.json", checkpoint_document(state, dataset))
+        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+    def test_awkward_recipe_round_trips(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(), path, dataset=AWKWARD_RECIPE)
+        assert read_checkpoint(path)[1] == AWKWARD_RECIPE
+
+    def test_failed_write_leaves_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(steps=1), path)
+        old = path.read_bytes()
+        payload = persist._payload
+        calls = []
+
+        def fail_on_third(arr):
+            calls.append(arr)
+            return payload(arr) if len(calls) < 3 else payload(arr).encode("ascii")
+
+        monkeypatch.setattr(persist, "_payload", fail_on_third)
+        with pytest.raises(TypeError):
+            save_checkpoint(trained_state(steps=2), path)
+        assert len(calls) == 3
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
 # Bit patterns the codec must carry unchanged: -0.0, the smallest and largest
 # subnormals, +-inf, and NaNs with distinct signs and payloads (quiet and
 # signalling).
@@ -182,15 +227,14 @@ class TestArrayCodec:
     @settings(deadline=None, max_examples=300)
     @given(arr=float_arrays())
     def test_bytes_round_trip_little_endian(self, arr):
-        doc = persist._encode_array(arr)
+        doc = {"shape": list(arr.shape), "dtype": str(arr.dtype), "b64": persist._payload(arr)}
         decoded = persist._decode_array(doc)
         assert decoded.shape == arr.shape and decoded.dtype == arr.dtype.newbyteorder("<")
         assert decoded.astype(arr.dtype).tobytes() == arr.tobytes()
         little = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
         assert doc["b64"] == base64.b64encode(little).decode("ascii")
         big = arr.astype(arr.dtype.newbyteorder(">"))
-        assert persist._encode_array(big)["b64"] == doc["b64"]
-        assert persist._encode_array(arr) == doc
+        assert persist._payload(big) == doc["b64"]
 
 
 class TestCheckpointErrors:
