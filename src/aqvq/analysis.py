@@ -37,8 +37,9 @@ class AnalyticModel:
 
     def __post_init__(self):
         for name in ("var_v", "dim_const_a"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be strictly positive and finite, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -36,6 +37,7 @@ from .errors import (
 from .experiments import AblationGrid, ablation_cells, run_trials, sweep_cells, train_run
 from .model import ModelConfig
 from .persist import (
+    TRAIN_DEFAULTS,
     RunReport,
     load_checkpoint,
     read_checkpoint,
@@ -51,19 +53,23 @@ __all__ = ["cli_main", "main"]
 SEED_ENV_VAR = "AQVQ_SEED"
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """A JSON number that a float holds finitely: not a bool, NaN or inf."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
+        return False
 
 
 def _read_sweep_pairs(path: str) -> list:
     """(n, final_val_recon_sum) pairs of a sweep report; failed rows are skipped."""
     rows = read_json(path, "sweep report")
     if not isinstance(rows, list) or not all(
-            isinstance(r, dict) and _is_number(r.get("n"))
-            and (r.get("final_val_recon_sum") is None or _is_number(r["final_val_recon_sum"]))
+            isinstance(r, dict) and _is_finite(r.get("n"))
+            and (r.get("final_val_recon_sum") is None or _is_finite(r["final_val_recon_sum"]))
             for r in rows):
-        raise ConfigError(f"sweep report {path} must be a list of objects with a numeric "
-                          "\"n\" and a numeric or null \"final_val_recon_sum\"")
+        raise ConfigError(f"sweep report {path} must be a list of objects with a finite "
+                          "numeric \"n\" and a finite or null \"final_val_recon_sum\"")
     return [(r["n"], r["final_val_recon_sum"]) for r in rows
             if r.get("final_val_recon_sum") is not None]
 
@@ -172,7 +178,7 @@ def _cmd_analyze(args) -> int:
         state, source = read_checkpoint(args.checkpoint)
         if source is None:
             raise ConfigError("checkpoint carries no dataset recipe to draw a probe batch from")
-        probe = make_dataset(source).val[:64]
+        probe = make_dataset(source).val[:TRAIN_DEFAULTS["probe_size"]]
         gap = gradient_gap(probe, state)
         print(f"gradient gap on {probe.shape[0]} validation samples: {gap:.10g}")
         return 0
@@ -247,6 +253,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(err: Exception) -> str:
+    """The message of ``err``, with any line break that a path or key from
+    the input put in it written as an escape, so it prints as one line."""
+    message = str(err)
+    return message if len(message.splitlines()) <= 1 else repr(message)[1:-1]
+
+
 def cli_main(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
     parser = _build_parser()
@@ -261,10 +274,10 @@ def cli_main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ConfigError, DomainError, FormatError, FitError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_one_line(err)}", file=sys.stderr)
         return 1
     except (NumericError, ContractError, DimensionError, OSError) as err:
-        print(f"runtime error: {err}", file=sys.stderr)
+        print(f"runtime error: {_one_line(err)}", file=sys.stderr)
         return 2
 
 

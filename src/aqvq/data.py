@@ -189,6 +189,9 @@ def make_dataset(source: DatasetSource) -> Dataset:
         images, labels = load_idx(source.images_path, source.labels_path)
     else:
         images, labels = load_idx(source.images_path), None
+    if images.shape[0] < 2:
+        raise ConfigError(f"{source.images_path}: need at least two images to split, "
+                          f"got {images.shape[0]}")
     if images.ndim == 3:  # H x W images -> single channel
         images = images[:, None, :, :]
     return _split(images, labels, source)

@@ -20,7 +20,7 @@ from .analysis import gradient_gap
 from .data import Dataset
 from .errors import ConfigError, NumericError
 from .model import ModelConfig, TrainState, evaluate, init_state, rng_streams, train_step
-from .persist import RunReport, config_hash
+from .persist import TRAIN_DEFAULTS, RunReport, config_hash
 
 __all__ = [
     "AblationGrid",
@@ -56,9 +56,11 @@ def _batches(train: np.ndarray, batch_size: int, steps: int, rng: np.random.Gene
 
 
 def train_run(config: ModelConfig, dataset: Dataset, steps: int,
-              record_every: int = 1, gap_every: int = 0, probe_size: int = 64,
-              eval_batch_size: int = 256, resolved_config: dict | None = None,
-              state: TrainState | None = None):
+              record_every: int = TRAIN_DEFAULTS["record_every"],
+              gap_every: int = TRAIN_DEFAULTS["gap_every"],
+              probe_size: int = TRAIN_DEFAULTS["probe_size"],
+              eval_batch_size: int = TRAIN_DEFAULTS["eval_batch_size"],
+              resolved_config: dict | None = None, state: TrainState | None = None):
     """Train one model for ``steps`` batches; returns (state, RunReport).
 
     The selection temperature counts down linearly over the budget.

@@ -7,8 +7,11 @@ byte-identical; files of earlier formats (version 2 stored one hex
 string per float) are rejected. A checkpoint is written as the indented
 JSON of its document with empty payloads, each array's base64 written
 into its field as it is (base64 needs no escaping), and it replaces its
-target atomically. Run reports collect per-step metrics and a summary;
-they serialize to JSON and to plot-ready CSV with identical values.
+target atomically. The reader checks each stored entry against the array
+of that name in the state ``init_state`` builds and decodes its payload
+straight into it. Run reports collect per-step metrics and a summary;
+they serialize to JSON and to plot-ready CSV with identical values, and
+``from_json`` rebuilds one through ``add_record``, the builder.
 ``write_csv`` and ``write_json`` are the one table writer and the one
 document writer that checkpoints, reports, sweeps and ablations go
 through; both replace their target atomically.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -57,17 +60,6 @@ def _payload(arr: np.ndarray) -> str:
     """Base64 of ``arr``'s C-order little-endian bytes."""
     little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
     return base64.b64encode(little.tobytes()).decode("ascii")
-
-
-def _decode_array(doc: dict) -> np.ndarray:
-    """The array ``save_checkpoint`` stored as ``doc``: a ValueError if its
-    payload is not base64 of exactly the bytes its shape and dtype need."""
-    dtype = np.dtype(doc["dtype"]).newbyteorder("<")
-    raw = base64.b64decode(doc["b64"], validate=True)
-    expected = dtype.itemsize * math.prod(doc["shape"])
-    if len(raw) != expected:
-        raise ValueError(f"{len(raw)} bytes where its shape and dtype need {expected}")
-    return np.frombuffer(raw, dtype).reshape(doc["shape"])
 
 
 def _state_arrays(state: TrainState) -> dict:
@@ -142,24 +134,27 @@ CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0}
 ARRAY_FIELDS = {"shape": (0,), "dtype": "", "b64": ""}
 
 
-def _load_array(path, name: str, entry, like: np.ndarray) -> np.ndarray:
-    """Decode one stored array; it must have the shape and dtype of ``like``,
-    so its payload must decode to exactly ``like.nbytes`` bytes."""
+def _load_array(path, name: str, entry, arr: np.ndarray) -> None:
+    """Decode entry ``name`` straight into ``arr``, the state's array of that
+    name: its shape, dtype and payload's byte count must be ``arr``'s."""
     check_config(name, entry, ARRAY_FIELDS)
-    if entry["shape"] != list(like.shape) or like.dtype != entry["dtype"]:
+    if entry["shape"] != list(arr.shape) or arr.dtype != entry["dtype"]:
         raise CheckpointError(f"{path}: {name} does not have the model's shape "
-                              f"{list(like.shape)} and dtype {like.dtype}")
+                              f"{list(arr.shape)} and dtype {arr.dtype}")
     try:
-        return _decode_array(entry)
+        raw = base64.b64decode(entry["b64"], validate=True)
+        if len(raw) != arr.nbytes:
+            raise ValueError(f"{len(raw)} bytes where its shape and dtype need {arr.nbytes}")
     except ValueError as err:  # not base64 (binascii.Error), or the wrong byte count
         raise CheckpointError(f"{path}: {name} has a bad payload: {err}") from err
+    arr[...] = np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape)
 
 
 def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
     """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``,
     with the dataset recipe saved beside it (None if there is none). Its
     array names, shapes and dtypes must be those of the state ``init_state``
-    builds from its model config; each array is copied into that state's."""
+    builds from its model config; each payload is decoded into its array."""
     doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
@@ -181,7 +176,7 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
             raise CheckpointError(f"{path}: arrays {sorted(set(stored) ^ set(arrays))} "
                                   "do not match the model")
         for name, arr in arrays.items():
-            np.copyto(arr, _load_array(path, name, stored[name], arr))
+            _load_array(path, name, stored[name], arr)
         state.adam_t = doc["adam_t"]
         state.step = doc["step"]
     except KeyError as err:
@@ -255,8 +250,9 @@ RECORD_KEYS = ("step", "recon", "vq", "gap", "temperature", "usage")
 class RunReport:
     """Per-step training records plus a run summary.
 
-    Records are appended with strictly increasing step numbers. ``gap``
-    and ``usage`` are optional per record (probes may be sparse).
+    Records are appended with strictly increasing integer steps. ``gap``
+    and ``usage`` are optional per record (probes may be sparse); all usage
+    lists have one width. ``from_json`` rebuilds a report with ``add_record``.
     """
 
     records: list = field(default_factory=list)
@@ -264,17 +260,24 @@ class RunReport:
 
     def add_record(self, step: int, recon: float, vq: float, gap: float | None = None,
                    temperature: float | None = None, usage=None) -> None:
+        step = operator.index(step)
         if self.records and step <= self.records[-1]["step"]:
             raise ContractError(
                 f"steps must increase: got {step} after {self.records[-1]['step']}"
             )
+        if usage is not None:
+            usage = [operator.index(c) for c in usage]
+            first = next((r["usage"] for r in self.records if r["usage"] is not None), usage)
+            if len(usage) != len(first):
+                raise ContractError(f"inconsistent usage widths in report: "
+                                    f"{sorted({len(first), len(usage)})}")
         self.records.append({
-            "step": int(step),
+            "step": step,
             "recon": float(recon),
             "vq": float(vq),
             "gap": None if gap is None else float(gap),
             "temperature": None if temperature is None else float(temperature),
-            "usage": None if usage is None else [int(c) for c in usage],
+            "usage": usage,
         })
 
     def set_summary(self, **kwargs) -> None:
@@ -286,24 +289,20 @@ class RunReport:
     @classmethod
     def from_json(cls, path) -> "RunReport":
         doc = read_json(path, "run report")
-        if not (isinstance(doc, dict) and isinstance(doc.get("summary"), dict)
-                and isinstance(doc.get("records"), list)
-                and all(isinstance(r, dict) and set(RECORD_KEYS) <= set(r)
-                        and isinstance(r["usage"], (list, type(None)))
-                        for r in doc["records"])):
-            raise FormatError(f"{path}: not a run report (records with keys "
-                              f"{', '.join(RECORD_KEYS)}, usage a list or null, "
-                              "and a summary)")
-        report = cls()
-        report.records = doc["records"]
-        report.summary = doc["summary"]
+        if not (isinstance(doc, dict) and isinstance(doc.get("records"), list)
+                and isinstance(doc.get("summary"), dict)):
+            raise FormatError(f"{path}: not a run report (a list of records and a summary)")
+        report = cls(summary=doc["summary"])
+        try:
+            for record in doc["records"]:
+                report.add_record(**record)
+        except (TypeError, ValueError, OverflowError) as err:  # ContractError is a ValueError
+            raise FormatError(f"{path}: bad run report record: {err}") from err
         return report
 
     def to_csv(self, path) -> None:
-        widths = {len(r["usage"]) for r in self.records if r["usage"] is not None}
-        if len(widths) > 1:
-            raise ContractError(f"inconsistent usage widths in report: {sorted(widths)}")
-        columns = list(RECORD_KEYS[:-1]) + [f"usage_{i}" for i in range(max(widths, default=0))]
+        width = max((len(r["usage"]) for r in self.records if r["usage"] is not None), default=0)
+        columns = list(RECORD_KEYS[:-1]) + [f"usage_{i}" for i in range(width)]
         write_csv(path, columns, [
             {**r, **{f"usage_{i}": c for i, c in enumerate(r["usage"] or [])}}
             for r in self.records

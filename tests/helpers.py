@@ -2,8 +2,8 @@
 einsum convolution, the VQ-VAE objective as separate graph nodes, the
 EMA update over whole N x D arrays, the per-parameter Adam loop, a
 hand-rolled autoencoder, frozen-residual surrogates for gradient
-checking through the straight-through paths, and a checkpoint's whole
-document for ``write_json``."""
+checking through the straight-through paths, a checkpoint's whole
+document for ``write_json``, and a run-report record as stored."""
 
 import base64
 
@@ -317,3 +317,9 @@ def checkpoint_document(state, dataset=None):
         "adam_t": state.adam_t,
         "arrays": {name: entry(arr) for name, arr in _state_arrays(state).items()},
     }
+
+
+def report_record(step, **changes):
+    """A run-report record as ``RunReport.to_json`` stores it, with ``changes``."""
+    return {"step": step, "recon": 0.5, "vq": 0.1, "gap": None, "temperature": None,
+            "usage": None, **changes}

@@ -114,6 +114,13 @@ class TestAnalyticModel:
         with pytest.raises(DomainError):
             AnalyticModel(0.0, 1.0)
 
+    @pytest.mark.parametrize("var_v,dim_const_a", [(float("nan"), 1.0), (1.0, float("nan")),
+                                                   (float("inf"), 1.0)],
+                             ids=["nan-variance", "nan-penalty", "infinite-variance"])
+    def test_fields_finite(self, var_v, dim_const_a):
+        with pytest.raises(DomainError):
+            AnalyticModel(var_v, dim_const_a)
+
     def test_optimal_n_substitution(self):
         model = AnalyticModel(4.0, 1.0)
         assert optimal_n(model) == 2.0

@@ -4,6 +4,7 @@ bit-exact reproduction from the resolved config."""
 import base64
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import report_record
 from aqvq.cli import cli_main
 
 RNG = np.random.default_rng
@@ -75,6 +77,15 @@ class TestTrain:
         rc = cli_main(["train", "--config", str(missing), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["a\nb.json", "a\rb.json", "a\u2028b.json"],
+                             ids=["newline", "carriage-return", "line-separator"])
+    def test_line_break_in_message_is_escaped(self, tmp_path, capsys, name):
+        missing = tmp_path / name
+        assert cli_main(["train", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert repr(str(missing))[1:-1] in err
 
     def test_resume_continues_to_budget(self, tmp_path, run_config):
         out1 = tmp_path / "first"
@@ -193,11 +204,17 @@ class TestRejectedRun:
 
     @pytest.mark.parametrize("case", ["resume-other-model", "resume-missing-checkpoint",
                                       "ablate-capacity-48", "train-steps-zero",
-                                      "sweep-steps-zero"])
+                                      "sweep-steps-zero", "idx-zero-images", "idx-one-image"])
     def test_rejected_after_prepare_leaves_no_file(self, tmp_path, run_config, capsys, case):
         raw = json.loads(run_config.read_text())
         command = ["train"]
-        if case == "resume-other-model":
+        if case.startswith("idx-"):
+            count = 0 if case == "idx-zero-images" else 1
+            images = tmp_path / "images.idx"
+            # ``count`` samples of 8 values, the run config's dense input
+            images.write_bytes(struct.pack(">4B2I", 0, 0, 0x08, 2, count, 8) + bytes(8 * count))
+            raw["dataset"] = {"kind": "idx_images", "images_path": str(images)}
+        elif case == "resume-other-model":
             first = tmp_path / "first"
             assert cli_main(["train", "--config", str(run_config), "--out", str(first)]) == 0
             raw["model"]["num_hiddens"] = 4
@@ -378,6 +395,10 @@ class TestAnalyzeAndReport:
         assert cli_main(["report", "--run", str(tmp_path / "missing")]) == 1
 
 
+def _report(*records):
+    return {"records": list(records), "summary": {}}
+
+
 class TestWrongShapeInput:
     """Well-formed JSON of the wrong shape exits 1 with one error line."""
 
@@ -388,6 +409,14 @@ class TestWrongShapeInput:
         ("analyze --fit-analytic", {"n": 2}),
         ("report --run", []),
         ("report --run", {"records": [{"step": 1}], "summary": {}}),
+        ("report --run", _report(report_record(1, usage=[1, 2]), report_record(2, usage=[3]))),
+        ("report --run", _report(report_record(2), report_record(1))),
+        ("report --run", _report(report_record(1, lr=0.1))),
+        ("report --run", _report(report_record(1, usage=[[1]]))),
+        ("analyze --fit-analytic", [{"n": n, "final_val_recon_sum": 1.0} for n in
+                                    (2, 4, float("inf"))]),
+        ("analyze --fit-analytic", [{"n": n, "final_val_recon_sum": s} for n, s in
+                                    ((2, 1.0), (4, float("nan")), (8, 1.0))]),
         ("train --config", {"model": 5}),
         ("train --config", {"model": {"input_shape": 8}}),
         ("train --config", {"train": {"steps": "x"}}),
@@ -398,7 +427,9 @@ class TestWrongShapeInput:
         ("train --config", {"model": {"num_heads": -2}}),
         ("train --config", {"model": {"learning_rate": -1e-3}}),
     ], ids=["grid-int", "grid-list", "sweep-ints", "sweep-object", "report-list",
-            "report-record-keys", "model-int", "input-shape-int", "steps-str", "samples-str",
+            "report-record-keys", "report-mixed-usage-widths", "report-steps-decreasing",
+            "report-unknown-record-key", "report-nested-usage", "sweep-infinite-n",
+            "sweep-nan-sum", "model-int", "input-shape-int", "steps-str", "samples-str",
             "model-seed-negative", "dataset-seed-negative", "heads-zero", "heads-negative",
             "learning-rate-negative"])
     def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, command, document):
@@ -556,7 +587,7 @@ class TestMalformedCheckpoint:
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3)
-    | st.floats(allow_nan=False, allow_infinity=False),
+    | st.floats(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=6)

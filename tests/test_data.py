@@ -150,6 +150,13 @@ class TestMakeDataset:
         assert ds.val.shape == (2, 1, 4, 4)
         assert ds.train.max() <= 1.0
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_idx_needs_two_images(self, tmp_path, count):
+        images = tmp_path / "images.idx"
+        images.write_bytes(idx_bytes(0x08, (count, 2, 2), range(4 * count)))
+        with pytest.raises(ConfigError, match="at least two images"):
+            make_dataset(DatasetSource(kind="idx_images", images_path=str(images)))
+
     def test_idx_requires_path(self):
         with pytest.raises(ConfigError):
             DatasetSource(kind="idx_images")

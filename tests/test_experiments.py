@@ -93,8 +93,11 @@ class TestTrainRun:
         assert rec["temperature"] == 7.0  # countdown start: (steps - 0) + 1 at step index 0
 
     def test_train_section_keys_are_keyword_arguments(self):
-        # the CLI passes a config's train section to train_run as keywords
-        assert set(TRAIN_DEFAULTS) <= set(inspect.signature(train_run).parameters)
+        # the CLI passes a config's train section to train_run as keywords,
+        # and a keyword left out takes the config's default
+        defaults = {key: parameter.default for key, parameter in
+                    inspect.signature(train_run).parameters.items() if key in TRAIN_DEFAULTS}
+        assert defaults == {**TRAIN_DEFAULTS, "steps": inspect.Parameter.empty}
 
 
 def structure(row):

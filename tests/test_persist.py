@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import checkpoint_document
+from helpers import checkpoint_document, report_record
 from aqvq.data import DatasetSource
 from aqvq.errors import CheckpointError, ConfigError, ContractError, FormatError
 from aqvq.model import ModelConfig, evaluate, init_state, train_step
@@ -227,14 +227,15 @@ class TestArrayCodec:
     @settings(deadline=None, max_examples=300)
     @given(arr=float_arrays())
     def test_bytes_round_trip_little_endian(self, arr):
-        doc = {"shape": list(arr.shape), "dtype": str(arr.dtype), "b64": persist._payload(arr)}
-        decoded = persist._decode_array(doc)
-        assert decoded.shape == arr.shape and decoded.dtype == arr.dtype.newbyteorder("<")
-        assert decoded.astype(arr.dtype).tobytes() == arr.tobytes()
+        entry = {"shape": list(arr.shape), "dtype": str(arr.dtype), "b64": persist._payload(arr)}
+        # the reader decodes into the array it is given, here laid out like arr
+        target = np.zeros_like(arr)
+        persist._load_array("ckpt.json", "x", entry, target)
+        assert target.tobytes() == arr.tobytes()
         little = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-        assert doc["b64"] == base64.b64encode(little).decode("ascii")
+        assert entry["b64"] == base64.b64encode(little).decode("ascii")
         big = arr.astype(arr.dtype.newbyteorder(">"))
-        assert persist._payload(big) == doc["b64"]
+        assert persist._payload(big) == entry["b64"]
 
 
 class TestCheckpointErrors:
@@ -364,6 +365,32 @@ class TestRunReport:
         report = self.make_report()
         with pytest.raises(ContractError):
             report.add_record(2, recon=0.3, vq=0.05)
+
+    @pytest.mark.parametrize("records,message", [
+        ([report_record(1, usage=[1, 2]), report_record(2, usage=[1, 2, 3])], "usage widths"),
+        ([report_record(2), report_record(2)], "steps must increase"),
+        ([report_record(1, loss=0.6)], "loss"),
+        ([report_record(1, usage=[[1, 2]])], "list"),
+        ([report_record(1, usage="12")], "str"),
+        ([report_record(1.5)], "float"),
+        ([report_record(1, recon="x")], "x"),
+        ([report_record(1, recon=10 ** 400)], "too large"),
+        ([{"step": 1, "recon": 0.5}], "vq"),
+        ([list(report_record(1).values())], "mapping"),
+    ], ids=["mixed-usage-widths", "repeated-step", "unknown-key", "nested-usage",
+            "usage-string", "fractional-step", "recon-string", "recon-overflows",
+            "missing-key", "record-list"])
+    def test_from_json_rejects_what_add_record_rejects(self, tmp_path, records, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"records": records, "summary": {}}))
+        with pytest.raises(FormatError) as err:
+            RunReport.from_json(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    def test_mixed_usage_widths_rejected_on_add(self):
+        report = self.make_report()
+        with pytest.raises(ContractError):
+            report.add_record(3, recon=0.3, vq=0.05, usage=[1, 1])
 
     def test_json_round_trip(self, tmp_path):
         report = self.make_report()
