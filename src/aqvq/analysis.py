@@ -48,7 +48,7 @@ class FitResult:
     residual: float  # rms misfit of the least-squares solution
 
 
-def gradient_gap(x, state: TrainState, tau: float = 1.0, target=None) -> float:
+def gradient_gap(x, state: TrainState, target=None) -> float:
     """L2 distance between quantized and unquantized loss gradients at z_e.
 
     Both branches decode from the same encoder output: once directly
@@ -66,8 +66,7 @@ def gradient_gap(x, state: TrainState, tau: float = 1.0, target=None) -> float:
     g_plain = leaf_plain.grad.copy()
 
     leaf_quant = Tensor(z_e.data.copy(), requires_grad=True)
-    q = quantizer_output(leaf_quant, state, tau=tau, rng=None)
-    backward(mse(target, decode(leaf_quant if q is None else q.z_q, state)))
+    backward(mse(target, decode(quantizer_output(leaf_quant, state).z_q, state)))
     g_quant = leaf_quant.grad.copy()
 
     state.zero_grads()
@@ -96,6 +95,8 @@ def fit_analytic(pairs) -> FitResult:
     losses = np.array([p[1] for p in pairs])
     if np.unique(sizes).size < 3:
         raise FitError(f"need at least 3 distinct codebook sizes, got {np.unique(sizes).size}")
+    if not (np.isfinite(sizes).all() and np.isfinite(losses).all()):
+        raise DomainError("codebook sizes and losses must be finite")
     if (sizes <= 0).any():
         raise DomainError("codebook sizes must be positive")
     design = np.stack([1.0 / sizes, sizes], axis=1)

@@ -64,9 +64,10 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
     """Train one model for ``steps`` batches; returns (state, RunReport).
 
     The selection temperature counts down linearly over the budget.
-    Every ``record_every`` steps the training metrics are recorded;
-    every ``gap_every`` steps (when nonzero) the gradient gap and
-    quantization loss are probed on a fixed validation batch. Passing
+    A step is recorded when ``record_every`` or ``gap_every`` (each
+    when nonzero) divides its number: the record holds the step's
+    training metrics and, on ``gap_every`` steps only, the gradient gap
+    on a fixed validation batch (``gap`` is None on the rest). Passing
     an existing ``state`` continues training it (with fresh data and
     noise streams) instead of initializing a new model.
     """
@@ -89,15 +90,13 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
                                            streams["data"])):
         tau = temperature(steps, index, "training")
         metrics = train_step(batch, state, tau=tau, rng=streams["gumbel"])
-        if record_every and (index + 1) % record_every == 0:
-            gap = None
-            if gap_every and (index + 1) % gap_every == 0:
-                gap = gradient_gap(probe, state)
+        probed = gap_every and (index + 1) % gap_every == 0
+        if probed or (record_every and (index + 1) % record_every == 0):
             report.add_record(
                 step=metrics["step"],
                 recon=metrics["recon"],
                 vq=metrics["vq"],
-                gap=gap,
+                gap=gradient_gap(probe, state) if probed else None,
                 temperature=metrics.get("temperature"),
                 usage=metrics.get("counts"),
             )

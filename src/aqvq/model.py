@@ -5,11 +5,11 @@ nonlinearity each side, one latent row per sample) and a small
 convolutional path (two stride-2 3x3 convolutions down, nearest
 upsample plus convolution back up, one latent row per spatial
 position). The quantizer between them is a fixed codebook, an adaptive
-pool, or nothing at all (plain autoencoder). ``quantizer_output`` is the
-one place that tells the two quantizer kinds apart in training; both
-hand back a ``QuantResult``, so the loss and training code never branch
-on the kind. ``evaluate`` alone quantizes an adaptive pool's rows
-another way: each by the one codebook it selects.
+pool, or none (a plain autoencoder: the identity quantizer).
+``quantizer_output`` is the one place that tells the three kinds apart
+in training; each hands back a ``QuantResult``, so the loss and training
+code never branch on the kind. ``evaluate`` alone quantizes an adaptive
+pool's rows another way: each by the one codebook it selects.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EVAL_BATCH_SIZE = 256
 
 
 @dataclass
@@ -273,15 +274,17 @@ def decode(z_rows: Tensor, state: TrainState) -> Tensor:
 
 
 def quantizer_output(z_rows: Tensor, state: TrainState, tau: float = 1.0,
-                     rng: np.random.Generator | None = None) -> QuantResult | None:
-    """Apply the configured quantizer to latent rows; None without one.
+                     rng: np.random.Generator | None = None) -> QuantResult:
+    """Apply the configured quantizer to latent rows.
 
-    A fixed layer is the one-codebook case of an adaptive pool: it
-    projects, quantizes and projects back, and selects nothing.
+    Without a quantizer this is the identity: the rows pass through, the
+    quantizer term is 0 and nothing is assigned. A fixed layer is the
+    one-codebook case of an adaptive pool: it projects, quantizes and
+    projects back, and selects nothing.
     """
     quantizer, config = state.quantizer, state.config
     if quantizer is None:
-        return None
+        return QuantResult(z_rows, Tensor(0.0, dtype=z_rows.dtype), [])
     if isinstance(quantizer, CodebookPool):
         return adaptive_forward(z_rows, quantizer, tau, alpha=config.alpha,
                                 beta=config.beta, rng=rng, hard=True)
@@ -296,18 +299,15 @@ def forward_loss(x, state: TrainState, tau: float = 1.0,
     """Full model loss on a batch: reconstruction plus the quantizer term.
 
     Returns (scalar loss Tensor, parts dict with "recon" and "vq",
-    QuantResult or None). Without a quantizer "vq" is 0.
+    QuantResult). Without a quantizer "vq" is 0.
     """
     t = _as_input(x, state.config)
-    z_e = encode(t, state)
-    return _loss(t, z_e, quantizer_output(z_e, state, tau=tau, rng=rng), state)
+    return _loss(t, quantizer_output(encode(t, state), state, tau=tau, rng=rng), state)
 
 
-def _loss(t: Tensor, z_e: Tensor, q: QuantResult | None, state: TrainState):
-    """``forward_loss`` of the batch ``t``, encoded as ``z_e`` and quantized as ``q``."""
-    recon = mse(t, decode(z_e if q is None else q.z_q, state))
-    if q is None:
-        return recon, {"recon": recon.item(), "vq": 0.0}, None
+def _loss(t: Tensor, q: QuantResult, state: TrainState):
+    """``forward_loss`` of the batch ``t``, whose encoding quantized to ``q``."""
+    recon = mse(t, decode(q.z_q, state))
     return add(recon, q.loss), {"recon": recon.item(), "vq": q.loss.item()}, q
 
 
@@ -345,7 +345,7 @@ def train_step(x, state: TrainState, tau: float = 1.0,
         state.zero_grads()
         backward(loss)
         _adam_update(state)
-        if config.use_ema and q is not None:
+        if config.use_ema:
             for codebook, rows, indices in q.assignments:
                 ema_update(codebook, rows, indices, config.gamma, config.laplace_eps,
                            paper_form=config.ema_paper_form)
@@ -353,13 +353,13 @@ def train_step(x, state: TrainState, tau: float = 1.0,
         raise NumericError(f"step {state.step}: {err}") from err
     state.step += 1
     metrics = {"step": state.step, "loss": loss.item(), **parts}
-    if q is not None and q.counts is not None:
+    if q.counts is not None:
         metrics["counts"] = q.counts
         metrics["temperature"] = float(tau)
     return metrics
 
 
-def evaluate(data, state: TrainState, batch_size: int = 256) -> dict:
+def evaluate(data, state: TrainState, batch_size: int = EVAL_BATCH_SIZE) -> dict:
     """Deterministic validation pass; never mutates the state.
 
     Selection noise is off and the selection temperature is fixed at 1,
@@ -392,7 +392,7 @@ def evaluate(data, state: TrainState, batch_size: int = 256) -> dict:
         z_e = encode(t, state)
         q = (quantizer_output(z_e, state) if pool is None
              else selected_forward(z_e, pool, alpha=config.alpha, beta=config.beta))
-        _, parts, _ = _loss(t, z_e, q, state)
+        _, parts, _ = _loss(t, q, state)
         recon_sum += parts["recon"] * batch.shape[0]
         quant_sum += parts["vq"] * batch.shape[0]
         n_batches += 1

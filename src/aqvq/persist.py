@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import DatasetSource
 from .errors import CheckpointError, ConfigError, ContractError, FormatError, check_config
-from .model import ModelConfig, TrainState, init_state
+from .model import EVAL_BATCH_SIZE, ModelConfig, TrainState, init_state
 
 __all__ = [
     "FORMAT_VERSION",
@@ -52,7 +52,7 @@ TRAIN_DEFAULTS = {
     "record_every": 1,
     "gap_every": 0,
     "probe_size": 64,
-    "eval_batch_size": 256,
+    "eval_batch_size": EVAL_BATCH_SIZE,
 }
 
 
@@ -117,7 +117,9 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
 
 def read_json(path, kind: str):
     """Parse one JSON input file: a missing ``kind`` file is a ConfigError,
-    malformed JSON a FormatError naming its line and column."""
+    malformed JSON a FormatError naming its line and column, and JSON that
+    Python cannot hold (an integer past its digit limit, nesting past its
+    recursion limit) a FormatError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -128,6 +130,10 @@ def read_json(path, kind: str):
                           f"{err.msg}") from err
     except UnicodeDecodeError as err:
         raise FormatError(f"{path}: not UTF-8 text: {err.reason}") from err
+    except ValueError as err:
+        raise FormatError(f"{path}: cannot parse JSON: {err}") from err
+    except RecursionError as err:
+        raise FormatError(f"{path}: JSON nested too deeply") from err
 
 
 CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0}

@@ -101,7 +101,11 @@ class Codebook:
 
 @dataclass
 class QuantResult:
-    """What ``quantize``, a fixed layer or an adaptive pool returns for T rows."""
+    """What ``quantize``, a fixed layer or an adaptive pool returns for T rows.
+
+    Without a quantizer ``model.quantizer_output`` returns the identity
+    case: the rows themselves, a zero loss and no assignments.
+    """
 
     z_q: Tensor              # T quantized rows, as wide as the rows given in
     loss: Tensor             # the quantizer's term of the model loss

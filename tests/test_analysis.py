@@ -191,3 +191,16 @@ class TestFitAnalytic:
     def test_positive_sizes_required(self):
         with pytest.raises(DomainError):
             fit_analytic([(-1.0, 5.0), (2.0, 4.0), (4.0, 5.0)])
+
+    @pytest.mark.parametrize("pairs", [
+        [(2, 1.0), (4, 1.0), (np.inf, 1.0)],
+        [(2, 1.0), (4, 1.0), (8, 1.0), (np.nan, 1.0)],
+        [(2, 1.0), (4, np.nan), (8, 1.0)],
+        [(2, 1.0), (4, -np.inf), (8, 1.0)],
+    ], ids=["size-inf", "size-nan", "loss-nan", "loss-minus-inf"])
+    def test_finite_pairs_required(self, pairs, capfd):
+        # refused before the least-squares solve, which prints LAPACK
+        # warnings on such input
+        with pytest.raises(DomainError, match="sizes and losses must be finite"):
+            fit_analytic(pairs)
+        assert capfd.readouterr() == ("", "")

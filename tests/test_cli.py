@@ -461,26 +461,63 @@ class TestArgumentErrors:
         assert "aqvq" in capsys.readouterr().out
 
 
+def _run_module(*args):
+    """Run ``python -m aqvq.cli`` with ``args`` in a child process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "aqvq.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestModuleRun:
     """``python -m aqvq.cli`` runs the same command line as the ``aqvq`` script."""
 
-    @staticmethod
-    def _run(*args):
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        return subprocess.run([sys.executable, "-m", "aqvq.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=120)
-
     def test_help_exits_zero(self):
-        result = self._run("--help")
+        result = _run_module("--help")
         assert result.returncode == 0
         assert result.stdout.startswith("usage: aqvq")
 
     def test_missing_config_exits_one(self, tmp_path):
-        result = self._run("train", "--config", str(tmp_path / "missing.json"),
-                           "--out", str(tmp_path / "out"))
+        result = _run_module("train", "--config", tmp_path / "missing.json",
+                             "--out", tmp_path / "out")
         assert result.returncode == 1
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.strip().splitlines()) == 1
+
+
+class TestUnparsableJson:
+    """JSON that Python cannot parse into values, an integer past its
+    digit limit or nesting past its recursion limit, exits 1 with one
+    error line naming the file from every command that reads JSON, and
+    the command writes nothing. Run in a child process, where an
+    uncaught exception would also exit 1, but with a traceback."""
+
+    @pytest.mark.parametrize("text", ['{"model": {"seed": ' + "9" * 5000 + "}}",
+                                      "[" * 100_000 + "]" * 100_000],
+                             ids=["long-integer", "deep-nesting"])
+    @pytest.mark.parametrize("command", ["train --config", "sweep --config", "ablate --grid",
+                                         "analyze --fit-analytic", "report --run",
+                                         "train --resume"])
+    def test_exits_one_with_one_line(self, tmp_path, run_config, command, text):
+        path = tmp_path / "report.json"  # the name ``report --run`` reads
+        path.write_text(text)
+        out = tmp_path / "out"
+        argv = {
+            "train --config": ["train", "--config", path, "--out", out],
+            "sweep --config": ["sweep", "--capacity", 8, "--config", path, "--out", out],
+            "ablate --grid": ["ablate", "--grid", path, "--config", run_config,
+                              "--out", out],
+            "analyze --fit-analytic": ["analyze", "--fit-analytic", path],
+            "report --run": ["report", "--run", tmp_path],
+            "train --resume": ["train", "--config", run_config, "--resume", path,
+                               "--out", out],
+        }[command]
+        result = _run_module(*argv)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {path}: ")
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert list(out.glob("*")) == []
+        assert sorted(p.name for p in tmp_path.glob("*.*")) == ["config.json", "report.json"]
 
 
 def _set(path, value):

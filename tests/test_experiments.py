@@ -17,7 +17,7 @@ from aqvq.experiments import (
     sweep_cells,
     train_run,
 )
-from aqvq.model import ModelConfig
+from aqvq.model import ModelConfig, evaluate
 from aqvq.persist import TRAIN_DEFAULTS
 from aqvq.vq import CodebookSpec
 
@@ -69,6 +69,19 @@ class TestTrainRun:
         assert report.summary["steps"] == 20
         assert len(report.summary["config_hash"]) == 64
 
+    @pytest.mark.parametrize("record_every,gap_every,steps,gap_steps", [
+        (2, 5, 20, [5, 10, 15, 20]),
+        (0, 5, 10, [5, 10]),
+    ], ids=["intervals-coprime", "records-off"])
+    def test_probe_lands_every_gap_every_steps(self, dataset, record_every, gap_every,
+                                               steps, gap_steps):
+        _, report = train_run(small_config(), dataset, steps=steps,
+                              record_every=record_every, gap_every=gap_every)
+        recorded = sorted({s for s in range(1, steps + 1)
+                           if (record_every and s % record_every == 0) or s in gap_steps})
+        assert [r["step"] for r in report.records] == recorded
+        assert [r["step"] for r in report.records if r["gap"] is not None] == gap_steps
+
     def test_budget_validated(self, dataset):
         with pytest.raises(ConfigError):
             train_run(small_config(), dataset, steps=0)
@@ -98,6 +111,8 @@ class TestTrainRun:
         defaults = {key: parameter.default for key, parameter in
                     inspect.signature(train_run).parameters.items() if key in TRAIN_DEFAULTS}
         assert defaults == {**TRAIN_DEFAULTS, "steps": inspect.Parameter.empty}
+        batch_size = inspect.signature(evaluate).parameters["batch_size"].default
+        assert batch_size == TRAIN_DEFAULTS["eval_batch_size"]
 
 
 def structure(row):

@@ -23,7 +23,7 @@ from aqvq.model import (
     train_step,
 )
 from aqvq.tensor import Graph, Tensor, backward, finite_difference_grad, relative_error
-from aqvq.vq import nearest_indices
+from aqvq.vq import QuantResult, nearest_indices
 
 RNG = np.random.default_rng
 
@@ -120,6 +120,15 @@ class TestForwardLoss:
         assert parts["vq"] == 0.0
         assert loss.item() == parts["recon"]
 
+    def test_plain_autoencoder_is_the_identity_quantizer(self):
+        state = init_state(dense_config(quantizer="none"))
+        x = RNG(4).normal(size=(4, 6))
+        loss, parts, q = forward_loss(x, state)
+        assert isinstance(q, QuantResult)
+        assert q.loss.item() == parts["vq"] == 0.0 and q.assignments == [] and q.counts is None
+        np.testing.assert_array_equal(q.z_q.data, encode(x, state).data)
+        assert loss.item() == parts["recon"]
+
     def test_parts_identity(self):
         for cfg in (dense_config(), dense_config(quantizer="adaptive", capacity=8),
                     dense_config(quantizer="none")):
@@ -167,7 +176,8 @@ class TestGraphSize:
     @pytest.mark.parametrize("quantizer,capacity,nodes", [
         pytest.param("adaptive", 64, 85, id="adaptive-85"),
         pytest.param("adaptive", 4096, 115, id="adaptive-w4096-115"),
-        pytest.param("fixed", 64, 26, id="fixed-26")])
+        pytest.param("fixed", 64, 26, id="fixed-26"),
+        pytest.param("none", 64, 18, id="none-18")])
     def test_nodes_per_forward_loss(self, quantizer, capacity, nodes):
         cfg = dense_config(input_shape=(8,), num_hiddens=16, quantizer=quantizer,
                            codebook_n=16, codebook_d=4, capacity=capacity)
