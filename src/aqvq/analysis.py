@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .model import TrainState, decode, encode, quantizer_output
-from .tensor import Tensor, backward, mse
+from .tensor import Tensor, _no_graph, backward, mse
 
 __all__ = [
     "AnalyticModel",
@@ -57,7 +57,8 @@ def gradient_gap(x, state: TrainState, target=None) -> float:
     to ``x`` itself. Parameters are left untouched; accumulated scratch
     gradients are cleared.
     """
-    z_e = encode(x, state)
+    with _no_graph():  # only z_e's values are read; each branch starts a graph of its own
+        z_e = encode(x, state)
     target = Tensor(np.asarray(x if target is None else target,
                                dtype=state.config.dtype))
 

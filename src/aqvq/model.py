@@ -22,6 +22,7 @@ from .adaptive import CodebookPool, adaptive_forward, enumerate_structures, sele
 from .errors import ConfigError, ContractError, DimensionError, NumericError, check_config
 from .tensor import (
     Tensor,
+    _no_graph,
     add,
     affine,
     backward,
@@ -375,6 +376,12 @@ def evaluate(data, state: TrainState, batch_size: int = EVAL_BATCH_SIZE) -> dict
     adaptive pool that term is the selected candidates', weighted by
     their rows, not the mean over all m candidates that training
     minimizes. Every value is a Python int or float.
+
+    The pass records no autodiff graph (``tensor._no_graph``): nothing
+    here is differentiated, and a recorded graph would keep every
+    activation of a batch alive, each convolution's padded input grid
+    included, until the batch's loss is dropped (rates in
+    ``BENCH_20.json``).
     """
     if batch_size < 1:
         raise ContractError(f"evaluation batch size must be at least 1, got {batch_size}")
@@ -386,16 +393,17 @@ def evaluate(data, state: TrainState, batch_size: int = EVAL_BATCH_SIZE) -> dict
     recon_sum = 0.0
     quant_sum = 0.0
     n_batches = 0
-    for start in range(0, arr.shape[0], batch_size):
-        batch = arr[start : start + batch_size]
-        t = _as_input(batch, config)
-        z_e = encode(t, state)
-        q = (quantizer_output(z_e, state) if pool is None
-             else selected_forward(z_e, pool, alpha=config.alpha, beta=config.beta))
-        _, parts, _ = _loss(t, q, state)
-        recon_sum += parts["recon"] * batch.shape[0]
-        quant_sum += parts["vq"] * batch.shape[0]
-        n_batches += 1
+    with _no_graph():
+        for start in range(0, arr.shape[0], batch_size):
+            batch = arr[start : start + batch_size]
+            t = _as_input(batch, config)
+            z_e = encode(t, state)
+            q = (quantizer_output(z_e, state) if pool is None
+                 else selected_forward(z_e, pool, alpha=config.alpha, beta=config.beta))
+            _, parts, _ = _loss(t, q, state)
+            recon_sum += parts["recon"] * batch.shape[0]
+            quant_sum += parts["vq"] * batch.shape[0]
+            n_batches += 1
     return {
         "recon_loss_sum": recon_sum,
         "recon_loss_mean": recon_sum / n_batches,

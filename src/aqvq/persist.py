@@ -151,7 +151,7 @@ def _load_array(path, name: str, entry, arr: np.ndarray) -> None:
         raw = base64.b64decode(entry["b64"], validate=True)
         if len(raw) != arr.nbytes:
             raise ValueError(f"{len(raw)} bytes where its shape and dtype need {arr.nbytes}")
-    except ValueError as err:  # not base64 (binascii.Error), or the wrong byte count
+    except ValueError as err:  # not ASCII, not base64 (binascii.Error), or the wrong byte count
         raise CheckpointError(f"{path}: {name} has a bad payload: {err}") from err
     arr[...] = np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape)
 

@@ -6,6 +6,10 @@ inputs; ``backward`` walks the resulting graph once in reverse
 topological order. Double precision is the default; float32 inputs are
 kept as float32.
 
+Inside ``_no_graph`` an op keeps neither its inputs nor its backward
+rule, so each intermediate is freed as soon as the next op has read it;
+evaluation runs there (``model.evaluate`` says why).
+
 The op set is deliberately small: exactly what an encoder/decoder pair,
 a vector quantizer with straight-through gradients, scaled dot-product
 attention, and mean-squared losses need. There is no broadcasting
@@ -14,6 +18,7 @@ beyond scalars, no GPU path, and no higher-order differentiation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -111,15 +116,34 @@ def zeros_param(shape, dtype) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
+# Whether ops record their graph; off only inside ``_no_graph``. One flag
+# per process: a thread training while another evaluates would lose its graph.
+_recording = True
+
+
+@contextmanager
+def _no_graph():
+    """Run ops without recording: their results keep no parents and no
+    backward rule and require no gradient. The previous setting comes
+    back on exit, also when the body raises."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _node(kind: str, data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
-    """Wrap an op result, recording parents and the backward rule."""
+    """Wrap an op result, recording parents and the backward rule unless
+    inside ``_no_graph``."""
     _check_finite(data, f"output of op '{kind}'")
     out = Tensor.__new__(Tensor)
     out.data = _contiguous(np.asarray(data))
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out.kind = kind
-    out._parents = tuple(parents)
+    out._parents = tuple(parents) if _recording else ()
     out._vjp = vjp if out.requires_grad else None
     return out
 

@@ -1,9 +1,12 @@
 """Diagnostics: gradient gap (zero case, affine closed form) and the
 capacity model (loss, optimum, least-squares fit)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+import aqvq.analysis
 from aqvq.analysis import (
     AnalyticModel,
     analytic_loss,
@@ -94,6 +97,23 @@ class TestGradientGapAffineDecoder:
                           capacity=8, seed=5)
         state = init_state(cfg)
         assert gradient_gap(RNG(5).normal(size=(4, 6)), state) >= 0.0
+
+
+class TestGradientGapUnrecordedEncode:
+    """``gradient_gap`` encodes without recording a graph; the gap must be
+    the same to the bit as with the encoder's graph recorded."""
+
+    @pytest.mark.parametrize("kw,shape", [
+        pytest.param(dict(encoder_arch="small_conv", input_shape=(1, 8, 8),
+                          quantizer="adaptive", capacity=16), (5, 1, 8, 8), id="conv-adaptive"),
+        pytest.param(dict(input_shape=(6,), quantizer="fixed", codebook_n=8, codebook_d=2),
+                     (7, 6), id="dense-fixed")])
+    def test_gap_bits(self, monkeypatch, kw, shape):
+        state = init_state(ModelConfig(num_hiddens=8, seed=3, **kw))
+        x = RNG(21).normal(size=shape)
+        gap = gradient_gap(x, state)
+        monkeypatch.setattr(aqvq.analysis, "_no_graph", contextlib.nullcontext)
+        assert gap.hex() == gradient_gap(x, state).hex()
 
 
 class TestAnalyticModel:

@@ -1,6 +1,8 @@
 """Model: encoder/decoder shapes, full losses, Adam training,
 evaluation purity, and equivalence with a hand-rolled autoencoder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import aqvq.model
 import aqvq.vq
+from aqvq import tensor
 from helpers import HandAutoencoder, fixed_surrogate, reference_adam_update
 from aqvq.adaptive import selection
 from aqvq.errors import ConfigError, ContractError, DimensionError, NumericError
@@ -388,6 +391,38 @@ class TestEvaluate:
         x = RNG(19).normal(size=(10, 6))
         result = evaluate(x, state, batch_size=4)
         assert (result["recon_loss_sum"], result["vq_loss_sum"]) == _forward_loss_sums(x, state, 4)
+
+    def test_recording_back_after_evaluate_raises(self):
+        cfg = dense_config(quantizer="adaptive", capacity=8)
+        state, fresh = init_state(cfg), init_state(cfg)
+        data = RNG(20).normal(size=(8, 6))
+        data[5, 2] = np.nan  # in the second batch
+        with pytest.raises(NumericError):
+            evaluate(data, state, batch_size=4)
+        assert tensor._recording
+        x = RNG(21).normal(size=(8, 6))
+        metrics = train_step(x, state, rng=RNG(1))
+        # str: "counts" is an array, and repr round-trips every float exactly
+        assert str(metrics) == str(train_step(x, fresh, rng=RNG(1)))
+        for ours, theirs in zip(state.arena, fresh.arena):
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_peak_memory_below_recorded_forward_pass(self):
+        # a fixed quantizer evaluates through forward_loss's ops, so only
+        # the recording tells the two peaks apart
+        cfg = ModelConfig(encoder_arch="small_conv", input_shape=(1, 8, 8), num_hiddens=16,
+                          quantizer="fixed")
+        state = init_state(cfg)
+        x = RNG(22).normal(size=(256, 1, 8, 8))
+        peaks = []
+        for run in (lambda: evaluate(x, state), lambda: forward_loss(x, state)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.75 * peaks[1]
 
     @pytest.mark.parametrize("precision", ["double", "single"])
     @pytest.mark.parametrize("kind", ["fixed", "adaptive", "none"])

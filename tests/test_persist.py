@@ -280,8 +280,8 @@ class TestCheckpointErrors:
             load_checkpoint(path)
         assert "enc.w1" in str(err.value)
 
-    @pytest.mark.parametrize("payload", [5, "*" * 12, "AAAAAAAAAAA="],
-                             ids=["not-a-string", "not-base64", "one-value"])
+    @pytest.mark.parametrize("payload", [5, "*" * 12, "AAAAéAAA", "AAAAAAAAAAA="],
+                             ids=["not-a-string", "not-base64", "not-ascii", "one-value"])
     def test_bad_payload_names_entry(self, tmp_path, payload):
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(), path)

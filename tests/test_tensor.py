@@ -148,6 +148,42 @@ class TestGraph:
         assert sum(1 for n in nodes if n is y) == 1
 
 
+def _small_loss():
+    """A conv, affine and mse chain on trainable leaves: (loss, leaves)."""
+    rng = RNG(7)
+    x = Tensor(rng.normal(size=(2, 1, 4, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    wa = Tensor(rng.normal(size=(32, 3)), requires_grad=True)
+    ba = Tensor(rng.normal(size=3), requires_grad=True)
+    hidden = relu(conv2d_3x3(x, w, b))
+    out = affine(reshape(hidden, (2, 32)), wa, ba)
+    return mse(out, Tensor(np.zeros((2, 3)))), (x, w, b, wa, ba)
+
+
+class TestNoGraph:
+    def test_ops_keep_no_parents_or_vjp(self):
+        with tensor._no_graph():
+            loss, leaves = _small_loss()
+            backward(loss)
+        assert (loss.kind, loss._parents, loss._vjp, loss.requires_grad) == ("mse", (), None, False)
+        assert all(leaf.grad is None for leaf in leaves)
+
+    def test_recording_back_after_exit_nesting_and_error(self):
+        with tensor._no_graph():
+            with tensor._no_graph():
+                pass
+            assert not tensor._recording
+        assert tensor._recording
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            with tensor._no_graph():
+                mul_scalar(Tensor([1e308]), 10.0)
+        assert tensor._recording
+        loss, leaves = _small_loss()
+        backward(loss)
+        assert loss._vjp is not None and all(leaf.grad is not None for leaf in leaves)
+
+
 class TestStraightThrough:
     def test_forward_bits_and_grad_route(self):
         z_e = Tensor([0.2], requires_grad=True)
