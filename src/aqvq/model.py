@@ -174,7 +174,13 @@ def rng_streams(seed: int) -> dict:
 
 def init_state(config: ModelConfig) -> TrainState:
     """Build parameters and quantizer for ``config``, from its seed's "init" stream."""
-    rng = rng_streams(config.seed)["init"]
+    return _build_state(config, rng_streams(config.seed)["init"])
+
+
+def _build_state(config: ModelConfig, rng) -> TrainState:
+    """The state of ``config``, every initial value drawn from ``rng``'s
+    ``normal``. A checkpoint load passes a stand-in that draws nothing,
+    since it overwrites every drawn array."""
     dtype = config.dtype
     h = config.num_hiddens
     params: dict = {}

@@ -7,9 +7,13 @@ byte-identical; files of earlier formats (version 2 stored one hex
 string per float) are rejected. A checkpoint is written as the indented
 JSON of its document with empty payloads, each array's base64 written
 into its field as it is (base64 needs no escaping), and it replaces its
-target atomically. The reader checks each stored entry against the array
-of that name in the state ``init_state`` builds and decodes its payload
-straight into it. Run reports collect per-step metrics and a summary;
+target atomically. The reader does the inverse: it reads the file once
+as bytes, cuts each payload out as a view of them, and parses only the
+few kilobytes of JSON left. It builds the state with ``init_state``'s
+constructors from a stand-in generator that draws zeros, since every
+drawn array is then overwritten: it checks each stored entry against
+the array of that name and decodes its payload straight into it. Run
+reports collect per-step metrics and a summary;
 they serialize to JSON and to plot-ready CSV with identical values, and
 ``from_json`` rebuilds one through ``add_record``, the builder.
 ``write_csv`` and ``write_json`` are the one table writer and the one
@@ -24,13 +28,14 @@ import hashlib
 import json
 import operator
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DatasetSource
 from .errors import CheckpointError, ConfigError, ContractError, FormatError, check_config
-from .model import EVAL_BATCH_SIZE, ModelConfig, TrainState, init_state
+from .model import EVAL_BATCH_SIZE, ModelConfig, TrainState, _build_state
 
 __all__ = [
     "FORMAT_VERSION",
@@ -117,14 +122,26 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
 
 def read_json(path, kind: str):
     """Parse one JSON input file: a missing ``kind`` file is a ConfigError,
-    malformed JSON a FormatError naming its line and column, and JSON that
-    Python cannot hold (an integer past its digit limit, nesting past its
-    recursion limit) a FormatError naming the file."""
+    and text that is not JSON a FormatError (see ``_parse_json``)."""
+    return _parse_json(path, _read_file(path, kind))
+
+
+def _read_file(path, kind: str) -> bytes:
+    """The bytes of input file ``path``; a missing ``kind`` file is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError as err:
         raise ConfigError(f"{kind} not found: {path}") from err
+
+
+def _parse_json(path, data: bytes, **options):
+    """Parse ``data``, the UTF-8 JSON text of ``path``: malformed JSON is a
+    FormatError naming its line and column, and JSON that Python cannot
+    hold (an integer past its digit limit, nesting past its recursion
+    limit) a FormatError naming the file."""
+    try:
+        return json.loads(data.decode("utf-8"), **options)
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: malformed JSON at line {err.lineno} column {err.colno}: "
                           f"{err.msg}") from err
@@ -136,19 +153,57 @@ def read_json(path, kind: str):
         raise FormatError(f"{path}: JSON nested too deeply") from err
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its ``(key, value)`` pairs, none of whose keys repeats."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"key {key!r} repeats in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
+# the start of a "b64" key's string value: a payload runs from there to the next quote
+PAYLOAD_START = re.compile(rb'"b64"[ \t\n\r]*:[ \t\n\r]*"')
+
+
+def _cut_payloads(data: bytes) -> tuple[bytes, list]:
+    """Cut every payload out of a checkpoint's text: each string value of a
+    "b64" key that holds no backslash (no JSON escape) becomes ``""``.
+    Returns the text left and the payloads cut, in file order, as views
+    of ``data``."""
+    view = memoryview(data)
+    kept, payloads = [], []
+    copied = 0
+    found = PAYLOAD_START.search(data)
+    while found:
+        end = data.find(b'"', found.end())
+        if end < 0:
+            break
+        if data.find(b"\\", found.end(), end) < 0:
+            kept.append(view[copied:found.end()])
+            payloads.append(view[found.end():end])
+            copied = end
+        found = PAYLOAD_START.search(data, end + 1)
+    kept.append(view[copied:])
+    return b"".join(kept), payloads
+
+
 CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0}
 ARRAY_FIELDS = {"shape": (0,), "dtype": "", "b64": ""}
 
 
-def _load_array(path, name: str, entry, arr: np.ndarray) -> None:
+def _load_array(path, name: str, entry, arr: np.ndarray, payload=None) -> None:
     """Decode entry ``name`` straight into ``arr``, the state's array of that
-    name: its shape, dtype and payload's byte count must be ``arr``'s."""
+    name: its shape, dtype and payload's byte count must be ``arr``'s. The
+    payload is ``payload``, the bytes cut out of the file for the entry,
+    or else the entry's own "b64" string."""
     check_config(name, entry, ARRAY_FIELDS)
     if entry["shape"] != list(arr.shape) or arr.dtype != entry["dtype"]:
         raise CheckpointError(f"{path}: {name} does not have the model's shape "
                               f"{list(arr.shape)} and dtype {arr.dtype}")
     try:
-        raw = base64.b64decode(entry["b64"], validate=True)
+        raw = base64.b64decode(entry["b64"] if payload is None else payload, validate=True)
         if len(raw) != arr.nbytes:
             raise ValueError(f"{len(raw)} bytes where its shape and dtype need {arr.nbytes}")
     except ValueError as err:  # not ASCII, not base64 (binascii.Error), or the wrong byte count
@@ -156,12 +211,33 @@ def _load_array(path, name: str, entry, arr: np.ndarray) -> None:
     arr[...] = np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape)
 
 
+class _NoDraws:
+    """Stands in for the "init" generator of a state whose every drawn array
+    is about to be overwritten: each draw is zeros."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
 def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
     """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``,
     with the dataset recipe saved beside it (None if there is none). Its
-    array names, shapes and dtypes must be those of the state ``init_state``
-    builds from its model config; each payload is decoded into its array."""
-    doc = read_json(path, "checkpoint")
+    array names, shapes and dtypes must be those of the state its model
+    config builds; each payload is decoded into its array.
+
+    The file is read once, as bytes, and only the text around the payloads
+    is parsed as JSON: the payloads cut out of it are given, in file order,
+    to the stored arrays whose "b64" the cut left empty, in document order.
+    """
+    data = _read_file(path, "checkpoint")
+    text, payloads = _cut_payloads(data)
+    try:
+        doc = _parse_json(path, text, object_pairs_hook=_unique_keys)
+    except FormatError:
+        # the cut shortens lines, so name the place of the error in the whole file
+        _parse_json(path, data, object_pairs_hook=_unique_keys)
+        raise
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version!r} is not supported "
@@ -173,7 +249,7 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
                 raise CheckpointError(f"{path}: checkpoint field {key} must be nonnegative, "
                                       f"got {doc[key]}")
         config = doc["config"]
-        state = init_state(ModelConfig.from_dict(config["model"]))
+        state = _build_state(ModelConfig.from_dict(config["model"]), _NoDraws())
         dataset = (None if config.get("dataset") is None
                    else DatasetSource.from_dict(config["dataset"]))
         stored = doc["arrays"] if isinstance(doc["arrays"], dict) else {}
@@ -181,8 +257,14 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
         if set(stored) != set(arrays):
             raise CheckpointError(f"{path}: arrays {sorted(set(stored) ^ set(arrays))} "
                                   "do not match the model")
+        emptied = [name for name, entry in stored.items()
+                   if isinstance(entry, dict) and entry.get("b64") == ""]
+        if len(emptied) != len(payloads):
+            raise CheckpointError(f"{path}: {len(payloads)} \"b64\" payloads for the "
+                                  f"{len(emptied)} stored arrays that hold one")
+        payload_of = dict(zip(emptied, payloads))
         for name, arr in arrays.items():
-            _load_array(path, name, stored[name], arr)
+            _load_array(path, name, stored[name], arr, payload_of.get(name))
         state.adam_t = doc["adam_t"]
         state.step = doc["step"]
     except KeyError as err:

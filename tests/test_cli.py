@@ -573,10 +573,11 @@ class TestMalformedCheckpoint:
         _set(["adam_t"], 1.5),
         _set(["step"], -100),
         _set(["adam_t"], -1),
+        _set(["b64"], "AAAA"),
     ], ids=["gamma-str", "laplace-eps-list", "step-str", "arrays-int", "codebook-str",
             "shape-str", "b64-int", "b64-bad-char",
             "b64-one-value-short", "b64-list", "config-int", "adam-t-float",
-            "step-negative", "adam-t-negative"])
+            "step-negative", "adam-t-negative", "b64-outside-arrays"])
     def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, edit):
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
@@ -589,6 +590,26 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("escape", [False, True], ids=["plain", "escaped"])
+    def test_duplicate_array_key_exits_one(self, tmp_path, run_config, capsys, escape):
+        """A stored array given twice is rejected, also when the first copy's
+        payload is written with a JSON escape (no count of payloads shows it)."""
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
+        doc = json.loads((out / "checkpoint.json").read_text())
+        name, entry = list(doc["arrays"].items())[-1]
+        first = entry["b64"][0]
+        payload = ("\\u%04x" % ord(first) if escape else first) + entry["b64"][1:]
+        copy = json.dumps({**entry, "b64": "@"}).replace("@", payload)
+        text = json.dumps(doc).replace('"arrays": {', f'"arrays": {{{json.dumps(name)}: {copy}, ')
+        path = tmp_path / "duplicate.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert cli_main(["analyze", "--checkpoint", str(path), "--gradient-gap"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "repeats" in err
 
     def test_version_one_file_is_rejected(self, tmp_path, run_config, capsys):
         """Files of formats 1 and 2 are rejected by their version number."""
@@ -614,12 +635,12 @@ class TestMalformedCheckpoint:
         from aqvq import persist
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
-        reads = []
-        real = persist.read_json
-        monkeypatch.setattr(persist, "read_json", lambda *a: reads.append(a) or real(*a))
+        opened = []
+        monkeypatch.setattr(persist, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                            raising=False)
         assert cli_main(["analyze", "--checkpoint", str(out / "checkpoint.json"),
                          "--gradient-gap"]) == 0
-        assert len(reads) == 1
+        assert opened == [str(out / "checkpoint.json")]
 
 
 JSON = st.recursive(

@@ -116,13 +116,17 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(quantizer="adaptive"), path)
         allocated = []
+        build = persist._build_state
 
-        def capture(config):
-            state = init_state(config)
+        def capture(config, rng):
+            state = build(config, rng)
             allocated.append(persist._state_arrays(state))
+            # the load overwrites every drawn array, so it draws nothing: zeros
+            assert not any(arr.any() for name, arr in allocated[-1].items()
+                           if not name.endswith("ema_cluster_size"))
             return state
 
-        monkeypatch.setattr(persist, "init_state", capture)
+        monkeypatch.setattr(persist, "_build_state", capture)
         loaded = load_checkpoint(path)
         (before,) = allocated
         after = persist._state_arrays(loaded)
@@ -321,6 +325,81 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert "codebooks[1].ema_embed_sum" in str(err.value)
+
+
+def saved_bytes(tmp_path) -> bytes:
+    """The bytes of an adaptive model's checkpoint: many arrays, one recipe."""
+    save_checkpoint(trained_state(quantizer="adaptive"), tmp_path / "ckpt.json",
+                    dataset=DatasetSource(clusters=3, seed=9))
+    return (tmp_path / "ckpt.json").read_bytes()
+
+
+def payload_at(data: bytes, k: int) -> int:
+    """Offset in ``data`` of the first byte of the ``k``-th payload."""
+    at = -1
+    for _ in range(k + 1):
+        at = data.index(b'"b64": "', at + 1)
+    return at + len(b'"b64": "')
+
+
+def stored_bytes(state) -> dict:
+    return {name: arr.tobytes() for name, arr in persist._state_arrays(state).items()}
+
+
+class TestCutReader:
+    """The reader cuts each payload out of the file's bytes and parses only
+    the JSON around them; any JSON text of the document loads the same."""
+
+    @pytest.mark.parametrize("dump", [
+        lambda doc: json.dumps(doc),
+        lambda doc: json.dumps(doc, separators=(",", ":")),
+        lambda doc: json.dumps(doc, indent="\t", separators=(" ,\n", "\r\n :\t")),
+    ], ids=["compact", "no-spaces", "odd-whitespace"])
+    def test_any_layout_loads_bit_exact(self, tmp_path, dump):
+        data = saved_bytes(tmp_path)
+        (tmp_path / "relaid.json").write_text(dump(json.loads(data)))
+        expected, recipe = read_checkpoint(tmp_path / "ckpt.json")
+        loaded, again = read_checkpoint(tmp_path / "relaid.json")
+        assert stored_bytes(loaded) == stored_bytes(expected) and again == recipe
+
+    @pytest.mark.parametrize("k", [0, 5, -1], ids=["first", "middle", "last"])
+    def test_escaped_payload_loads_the_same_array(self, tmp_path, k):
+        data = saved_bytes(tmp_path)
+        at = payload_at(data, k % data.count(b'"b64": "'))
+        escaped = data[:at] + b"\\u%04x" % data[at] + data[at + 1:]
+        (tmp_path / "escaped.json").write_bytes(escaped)
+        expected = stored_bytes(load_checkpoint(tmp_path / "ckpt.json"))
+        assert stored_bytes(load_checkpoint(tmp_path / "escaped.json")) == expected
+
+    @pytest.mark.parametrize("raw", [b"\xc3\xa9", b"\xff", b"\x01", b"\n"],
+                             ids=["non-ascii", "not-utf8", "control", "line-break"])
+    def test_raw_byte_in_payload_names_entry(self, tmp_path, raw):
+        data = saved_bytes(tmp_path)
+        at = payload_at(data, 3) + 4
+        (tmp_path / "bad.json").write_bytes(data[:at] + raw + data[at:])
+        name = list(json.loads(data)["arrays"])[3]
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(tmp_path / "bad.json")
+        assert name in str(err.value)
+
+    @pytest.mark.parametrize("layout", ["indented", "compact"])
+    @pytest.mark.parametrize("cut", ["inside-payload", "not-utf8-outside", "bad-token"])
+    def test_malformed_file_reported_where_the_file_has_it(self, tmp_path, layout, cut):
+        data = saved_bytes(tmp_path)
+        if layout == "compact":
+            data = json.dumps(json.loads(data)).encode()
+        at = payload_at(data, 7) + 10
+        broken = {"inside-payload": data[:at],
+                  "not-utf8-outside": data.replace(b'"float64"', b'"float\xff64"', 1),
+                  "bad-token": data[:at] + data[at:].replace(b'"dtype"', b'dtype', 1)}[cut]
+        path = tmp_path / "broken.json"
+        path.write_bytes(broken)
+        with pytest.raises(FormatError) as expected:
+            persist.read_json(path, "checkpoint")
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == str(expected.value)
+        assert ("not UTF-8" if cut == "not-utf8-outside" else " line ") in str(err.value)
 
 
 class TestResolvedConfig:
