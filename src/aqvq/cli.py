@@ -8,7 +8,7 @@ reproduces the results bit for bit. The
 the given capacity.
 
 Exit codes: 0 success, 1 configuration problem, 2 runtime or numeric
-failure.
+failure (an allocation that fails is one).
 """
 
 from __future__ import annotations
@@ -193,10 +193,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
-    source = run_dir / "report.json"
-    if not source.exists():
-        raise ConfigError(f"no report.json under run directory {run_dir}")
-    report = RunReport.from_json(source)
+    report = RunReport.from_json(run_dir / "report.json")
     if args.format == "csv":
         target = run_dir / "report.csv"
         report.to_csv(target)
@@ -254,9 +251,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _one_line(err: Exception) -> str:
-    """The message of ``err``, with any line break that a path or key from
-    the input put in it written as an escape, so it prints as one line."""
-    message = str(err)
+    """The message of ``err`` (its type's name if it has none), with any
+    line break that a path or key from the input put in it written as an
+    escape, so it prints as one line."""
+    message = str(err) or type(err).__name__
     return message if len(message.splitlines()) <= 1 else repr(message)[1:-1]
 
 
@@ -276,7 +274,7 @@ def cli_main(argv=None) -> int:
     except (ConfigError, DomainError, FormatError, FitError) as err:
         print(f"error: {_one_line(err)}", file=sys.stderr)
         return 1
-    except (NumericError, ContractError, DimensionError, OSError) as err:
+    except (NumericError, ContractError, DimensionError, OSError, MemoryError) as err:
         print(f"runtime error: {_one_line(err)}", file=sys.stderr)
         return 2
 

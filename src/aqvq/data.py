@@ -3,6 +3,8 @@
 Two synthetic generators (a Gaussian mixture of cluster centers and a
 bank of procedural 8x8 image patterns) plus a reader for the big-endian
 IDX image/label format. Everything is deterministic per seed.
+``read_bytes`` is the one reader of input files: IDX files here, and JSON
+documents and checkpoints in ``persist``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_config
+from .errors import ConfigError, FormatError, check_addressable, check_config
 
-__all__ = ["DatasetSource", "Dataset", "synth_dataset", "load_idx", "make_dataset"]
+__all__ = ["DatasetSource", "Dataset", "synth_dataset", "load_idx", "make_dataset", "read_bytes"]
 
 IDX_UBYTE = 0x08
 
@@ -53,6 +55,11 @@ class DatasetSource:
                 raise ConfigError(f"need at least two samples to split, got {self.samples}")
             if self.noise_sigma < 0:
                 raise ConfigError("noise sigma must be nonnegative")
+            if self.kind == "synthetic_patterns":
+                check_addressable("dataset", "samples", self.samples, 1, 8, 8)
+            else:
+                check_addressable("dataset", "samples and dims", self.samples, self.dims)
+                check_addressable("dataset", "clusters and dims", self.clusters, self.dims)
         elif self.images_path is None:
             raise ConfigError("idx_images needs an images_path")
 
@@ -137,12 +144,17 @@ def synth_dataset(source: DatasetSource) -> Dataset:
     return _split(data, None, source)
 
 
-def _read_idx(path: str) -> np.ndarray:
+def read_bytes(path, kind: str) -> bytes:
+    """The bytes of input file ``path``; a missing ``kind`` file is a ConfigError."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return fh.read()
     except FileNotFoundError as err:
-        raise ConfigError(f"IDX file not found: {path}") from err
+        raise ConfigError(f"{kind} not found: {path}") from err
+
+
+def _read_idx(path: str) -> np.ndarray:
+    blob = read_bytes(path, "IDX file")
     if len(blob) < 4:
         raise FormatError(f"{path}: too short for an IDX header ({len(blob)} bytes)")
     zero1, zero2, dtype_code, ndim = struct.unpack(">BBBB", blob[:4])

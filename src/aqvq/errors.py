@@ -1,9 +1,13 @@
-"""Exception types shared across the toolkit, and the check that turns a
-config document of the wrong shape into a ``ConfigError``."""
+"""Exception types shared across the toolkit, the check that turns a
+config document of the wrong shape into a ``ConfigError``, and the check
+that a config's sizes shape arrays numpy can address."""
 
 import json
+import math
 import reprlib
 from dataclasses import fields
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -64,3 +68,12 @@ def check_config(name: str, raw, defaults) -> dict:
             raise ConfigError(f"{name} config value {key} = {reprlib.repr(value)} does not "
                               f"have the type of its default {json.dumps(defaults[key])}")
     return raw
+
+
+def check_addressable(config: str, names: str, *shape: int) -> None:
+    """Raise a ConfigError naming the ``config`` sizes ``names`` when an
+    array of ``shape`` float64 values, which those sizes set, holds more
+    bytes than numpy can address (``np.intp``)."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{config} {names} too large: an array of shape {list(shape)} "
+                          "holds more bytes than numpy can address")

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .adaptive import CodebookPool, adaptive_forward, enumerate_structures, selected_forward
-from .errors import ConfigError, ContractError, DimensionError, NumericError, check_config
+from .errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    NumericError,
+    check_addressable,
+    check_config,
+)
 from .tensor import (
     Tensor,
     _no_graph,
@@ -28,7 +35,6 @@ from .tensor import (
     backward,
     conv2d_3x3,
     mse,
-    mul_scalar,
     normal_param,
     relu,
     reshape,
@@ -98,6 +104,11 @@ class ModelConfig:
                               f"got {self.input_shape}")
         if min(self.input_shape + (self.num_hiddens, self.batch_size)) < 1:
             raise ConfigError("input_shape, num_hiddens and batch_size must be positive")
+        # the largest weights: input channels or features by hidden units, hidden by hidden
+        kernel = (3, 3) if self.encoder_arch == "small_conv" else ()
+        check_addressable("model", "input_shape and num_hiddens",
+                          self.input_shape[0], self.num_hiddens, *kernel)
+        check_addressable("model", "num_hiddens", self.num_hiddens, self.num_hiddens, *kernel)
         for name in ("alpha", "beta", "learning_rate", "laplace_eps"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -113,8 +124,11 @@ class ModelConfig:
             raise ConfigError(f"laplace_eps must be positive, got {self.laplace_eps}")
         if self.quantizer == "fixed":
             CodebookSpec(self.codebook_n, self.codebook_d)
+            check_addressable("model", "codebook_n and codebook_d",
+                              self.codebook_n, self.codebook_d)
         elif self.quantizer == "adaptive":
             enumerate_structures(self.capacity)
+            check_addressable("model", "capacity", self.capacity)  # n * d of every codebook
             if self.num_hiddens % self.num_heads:
                 raise ConfigError(f"num_heads={self.num_heads} must divide "
                                   f"num_hiddens={self.num_hiddens}")

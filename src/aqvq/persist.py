@@ -8,11 +8,13 @@ string per float) are rejected. A checkpoint is written as the indented
 JSON of its document with empty payloads, each array's base64 written
 into its field as it is (base64 needs no escaping), and it replaces its
 target atomically. The reader does the inverse: it reads the file once
-as bytes, cuts each payload out as a view of them, and parses only the
-few kilobytes of JSON left. It builds the state with ``init_state``'s
-constructors from a stand-in generator that draws zeros, since every
-drawn array is then overwritten: it checks each stored entry against
-the array of that name and decodes its payload straight into it. Run
+as bytes, with ``data.read_bytes`` like every input file, cuts every
+"b64" string out as a view of them, and parses only the few kilobytes
+of JSON left, with ``_parse_json`` like every JSON input (a repeated key
+is an error). It builds the state with ``init_state``'s constructors
+from a stand-in generator that draws zeros, since every drawn array is
+then overwritten, checks the k-th stored entry against the array of its
+name and decodes the k-th payload straight into it. Run
 reports collect per-step metrics and a summary;
 they serialize to JSON and to plot-ready CSV with identical values, and
 ``from_json`` rebuilds one through ``add_record``, the builder.
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetSource
+from .data import DatasetSource, read_bytes
 from .errors import CheckpointError, ConfigError, ContractError, FormatError, check_config
 from .model import EVAL_BATCH_SIZE, ModelConfig, TrainState, _build_state
 
@@ -123,25 +125,17 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
 def read_json(path, kind: str):
     """Parse one JSON input file: a missing ``kind`` file is a ConfigError,
     and text that is not JSON a FormatError (see ``_parse_json``)."""
-    return _parse_json(path, _read_file(path, kind))
+    return _parse_json(path, read_bytes(path, kind))
 
 
-def _read_file(path, kind: str) -> bytes:
-    """The bytes of input file ``path``; a missing ``kind`` file is a ConfigError."""
+def _parse_json(path, data: bytes):
+    """Parse ``data``, the UTF-8 JSON text of ``path``: malformed JSON, or
+    a key repeated in one object, is a FormatError naming its line and
+    column or the key, and JSON that Python cannot hold (an integer past
+    its digit limit, nesting past its recursion limit) a FormatError
+    naming the file."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except FileNotFoundError as err:
-        raise ConfigError(f"{kind} not found: {path}") from err
-
-
-def _parse_json(path, data: bytes, **options):
-    """Parse ``data``, the UTF-8 JSON text of ``path``: malformed JSON is a
-    FormatError naming its line and column, and JSON that Python cannot
-    hold (an integer past its digit limit, nesting past its recursion
-    limit) a FormatError naming the file."""
-    try:
-        return json.loads(data.decode("utf-8"), **options)
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: malformed JSON at line {err.lineno} column {err.colno}: "
                           f"{err.msg}") from err
@@ -154,7 +148,8 @@ def _parse_json(path, data: bytes, **options):
 
 
 def _unique_keys(pairs: list) -> dict:
-    """A JSON object from its ``(key, value)`` pairs, none of whose keys repeats."""
+    """A JSON object from its ``(key, value)`` pairs, none of whose keys
+    repeats: every JSON input is parsed with this one policy."""
     seen = set()
     for key, _ in pairs:
         if key in seen:
@@ -169,9 +164,8 @@ PAYLOAD_START = re.compile(rb'"b64"[ \t\n\r]*:[ \t\n\r]*"')
 
 def _cut_payloads(data: bytes) -> tuple[bytes, list]:
     """Cut every payload out of a checkpoint's text: each string value of a
-    "b64" key that holds no backslash (no JSON escape) becomes ``""``.
-    Returns the text left and the payloads cut, in file order, as views
-    of ``data``."""
+    "b64" key becomes ``""``. Returns the text left and the payloads cut,
+    in file order, as views of ``data``."""
     view = memoryview(data)
     kept, payloads = [], []
     copied = 0
@@ -180,10 +174,9 @@ def _cut_payloads(data: bytes) -> tuple[bytes, list]:
         end = data.find(b'"', found.end())
         if end < 0:
             break
-        if data.find(b"\\", found.end(), end) < 0:
-            kept.append(view[copied:found.end()])
-            payloads.append(view[found.end():end])
-            copied = end
+        kept.append(view[copied:found.end()])
+        payloads.append(view[found.end():end])
+        copied = end
         found = PAYLOAD_START.search(data, end + 1)
     kept.append(view[copied:])
     return b"".join(kept), payloads
@@ -193,17 +186,15 @@ CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0}
 ARRAY_FIELDS = {"shape": (0,), "dtype": "", "b64": ""}
 
 
-def _load_array(path, name: str, entry, arr: np.ndarray, payload=None) -> None:
-    """Decode entry ``name`` straight into ``arr``, the state's array of that
-    name: its shape, dtype and payload's byte count must be ``arr``'s. The
-    payload is ``payload``, the bytes cut out of the file for the entry,
-    or else the entry's own "b64" string."""
-    check_config(name, entry, ARRAY_FIELDS)
+def _load_array(path, name: str, entry, arr: np.ndarray, payload) -> None:
+    """Decode ``payload``, the bytes cut out of the file for entry ``name``,
+    straight into ``arr``, the state's array of that name: the entry's
+    shape and dtype and the payload's byte count must be ``arr``'s."""
     if entry["shape"] != list(arr.shape) or arr.dtype != entry["dtype"]:
         raise CheckpointError(f"{path}: {name} does not have the model's shape "
                               f"{list(arr.shape)} and dtype {arr.dtype}")
     try:
-        raw = base64.b64decode(entry["b64"] if payload is None else payload, validate=True)
+        raw = base64.b64decode(payload, validate=True)
         if len(raw) != arr.nbytes:
             raise ValueError(f"{len(raw)} bytes where its shape and dtype need {arr.nbytes}")
     except ValueError as err:  # not ASCII, not base64 (binascii.Error), or the wrong byte count
@@ -227,17 +218,18 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
     config builds; each payload is decoded into its array.
 
     The file is read once, as bytes, and only the text around the payloads
-    is parsed as JSON: the payloads cut out of it are given, in file order,
-    to the stored arrays whose "b64" the cut left empty, in document order.
+    is parsed as JSON: the k-th payload cut out of it, in file order, is
+    decoded into the k-th stored array, in document order.
     """
-    data = _read_file(path, "checkpoint")
+    data = read_bytes(path, "checkpoint")
     text, payloads = _cut_payloads(data)
     try:
-        doc = _parse_json(path, text, object_pairs_hook=_unique_keys)
-    except FormatError:
-        # the cut shortens lines, so name the place of the error in the whole file
-        _parse_json(path, data, object_pairs_hook=_unique_keys)
-        raise
+        doc = _parse_json(path, text)
+    except FormatError as err:
+        # the cut shortens lines, so name the place of the error in the whole file;
+        # if the whole file parses, the cut ended a payload at a quote escaped in it
+        _parse_json(path, data)
+        raise CheckpointError(f"{path}: a \"b64\" payload holds an escaped quote") from err
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version!r} is not supported "
@@ -257,14 +249,14 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
         if set(stored) != set(arrays):
             raise CheckpointError(f"{path}: arrays {sorted(set(stored) ^ set(arrays))} "
                                   "do not match the model")
-        emptied = [name for name, entry in stored.items()
-                   if isinstance(entry, dict) and entry.get("b64") == ""]
-        if len(emptied) != len(payloads):
-            raise CheckpointError(f"{path}: {len(payloads)} \"b64\" payloads for the "
-                                  f"{len(emptied)} stored arrays that hold one")
-        payload_of = dict(zip(emptied, payloads))
-        for name, arr in arrays.items():
-            _load_array(path, name, stored[name], arr, payload_of.get(name))
+        for name, entry in stored.items():  # each "b64" string is left empty by the cut
+            if check_config(name, entry, ARRAY_FIELDS).get("b64") != "":
+                raise CheckpointError(f"{path}: {name} has no \"b64\" payload string")
+        if len(stored) != len(payloads):
+            raise CheckpointError(f"{path}: {len(payloads)} \"b64\" payloads for "
+                                  f"{len(stored)} stored arrays")
+        for (name, entry), payload in zip(stored.items(), payloads):
+            _load_array(path, name, entry, arrays[name], payload)
         state.adam_t = doc["adam_t"]
         state.step = doc["step"]
     except KeyError as err:

@@ -239,6 +239,64 @@ class TestRejectedRun:
         assert list(out.glob("*")) == []
 
 
+HUGE = 2**62  # a size whose float64 array holds more bytes than numpy can address
+
+
+class TestUnaddressableSize:
+    """A config size that shapes an array numpy cannot address exits 1 with
+    one error line naming it, before anything is allocated or written; an
+    allocation that fails exits 2. No test allocates an array this host
+    could not hold."""
+
+    @pytest.mark.parametrize("section,field,extra", [
+        ("dataset", "samples", {}),
+        ("dataset", "clusters", {}),
+        ("dataset", "dims", {}),
+        ("model", "codebook_n", {}),
+        ("model", "capacity", {"quantizer": "adaptive"}),
+        ("model", "num_hiddens", {}),
+    ])
+    def test_config_exits_one(self, tmp_path, run_config, capsys, section, field, extra):
+        raw = json.loads(run_config.read_text())
+        raw[section].update({field: HUGE, **extra})
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert field in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
+
+    def test_checkpoint_config_exits_one(self, tmp_path, run_config, capsys):
+        first = tmp_path / "first"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(first)]) == 0
+        doc = json.loads((first / "checkpoint.json").read_text())
+        doc["config"]["model"]["codebook_n"] = HUGE
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(run_config), "--resume", str(path),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "codebook_n" in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
+
+    def test_failed_allocation_exits_two(self, tmp_path, run_config, capsys, monkeypatch):
+        from aqvq import experiments
+
+        def init_state(config):
+            raise MemoryError()  # what a failed allocation raises, often with no message
+
+        monkeypatch.setattr(experiments, "init_state", init_state)
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
+        assert list(out.glob("*")) == []
+
+
 class TestSweepAndAdaptive:
     def test_sweep_row_count_matches_enumeration(self, tmp_path, run_config):
         out = tmp_path / "sweep"
@@ -520,6 +578,61 @@ class TestUnparsableJson:
         assert sorted(p.name for p in tmp_path.glob("*.*")) == ["config.json", "report.json"]
 
 
+def _repeat(doc, key) -> str:
+    """The JSON text of ``doc`` with the first ``key`` in it given twice, in one object."""
+    text = json.dumps(doc)
+    first = text.index(f'"{key}": ')
+    return f'{text[:first]}"{key}": null, {text[first:]}'
+
+
+class TestRepeatedKey:
+    """Every JSON input has one policy: a key given twice in one object exits
+    1 with one error line naming the key, and the command writes nothing."""
+
+    @pytest.mark.parametrize("command", ["train --config", "ablate --grid",
+                                         "analyze --fit-analytic", "report --run",
+                                         "train --resume"])
+    def test_exits_one_naming_the_key(self, tmp_path, run_config, capsys, command):
+        raw = json.loads(run_config.read_text())
+        raw["train"]["steps"] = 2
+        run_config.write_text(json.dumps(raw))
+        path = tmp_path / "report.json"  # the name ``report --run`` reads
+        out = tmp_path / "out"
+        key, text = {
+            "train --config": lambda: ("steps", _repeat(raw, "steps")),
+            "ablate --grid": lambda: ("capacities", _repeat({"capacities": [8]}, "capacities")),
+            "analyze --fit-analytic": lambda: ("n", _repeat(
+                [{"n": n, "final_val_recon_sum": 1.0 / n + n} for n in (2, 4, 8)], "n")),
+            "report --run": lambda: ("summary", _repeat(
+                {"records": [report_record(1)], "summary": {}}, "summary")),
+            "train --resume": lambda: ("step", self._checkpoint_text(tmp_path, run_config)),
+        }[command]()
+        path.write_text(text)
+        argv = {
+            "train --config": ["train", "--config", path, "--out", out],
+            "ablate --grid": ["ablate", "--grid", path, "--config", run_config, "--out", out],
+            "analyze --fit-analytic": ["analyze", "--fit-analytic", path],
+            "report --run": ["report", "--run", tmp_path],
+            "train --resume": ["train", "--config", run_config, "--resume", path,
+                               "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert cli_main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and len(err.strip().splitlines()) == 1
+        assert f"key {key!r} repeats" in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
+        assert not (tmp_path / "report.csv").exists()
+
+    @staticmethod
+    def _checkpoint_text(tmp_path, run_config) -> str:
+        """A trained run's checkpoint with its top-level "step" given twice."""
+        assert cli_main(["train", "--config", str(run_config),
+                         "--out", str(tmp_path / "first")]) == 0
+        text = (tmp_path / "first" / "checkpoint.json").read_text()
+        return text.replace('"step": ', '"step": 0, "step": ', 1)
+
+
 def _set(path, value):
     """Edit for a checkpoint document: set the entry at ``path`` (keys and
     indices; the empty string stands for the first key) to ``value``."""
@@ -632,11 +745,11 @@ class TestMalformedCheckpoint:
             assert f"version {version}" in err
 
     def test_checkpoint_is_read_once(self, tmp_path, run_config, monkeypatch):
-        from aqvq import persist
+        from aqvq import data  # the module of read_bytes, the one reader of input files
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
         opened = []
-        monkeypatch.setattr(persist, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+        monkeypatch.setattr(data, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
                             raising=False)
         assert cli_main(["analyze", "--checkpoint", str(out / "checkpoint.json"),
                          "--gradient-gap"]) == 0

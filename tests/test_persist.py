@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import checkpoint_document, report_record
+from aqvq.cli import cli_main
 from aqvq.data import DatasetSource
 from aqvq.errors import CheckpointError, ConfigError, ContractError, FormatError
 from aqvq.model import ModelConfig, evaluate, init_state, train_step
@@ -234,7 +235,7 @@ class TestArrayCodec:
         entry = {"shape": list(arr.shape), "dtype": str(arr.dtype), "b64": persist._payload(arr)}
         # the reader decodes into the array it is given, here laid out like arr
         target = np.zeros_like(arr)
-        persist._load_array("ckpt.json", "x", entry, target)
+        persist._load_array("ckpt.json", "x", entry, target, entry["b64"].encode("ascii"))
         assert target.tobytes() == arr.tobytes()
         little = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
         assert entry["b64"] == base64.b64encode(little).decode("ascii")
@@ -363,13 +364,35 @@ class TestCutReader:
         assert stored_bytes(loaded) == stored_bytes(expected) and again == recipe
 
     @pytest.mark.parametrize("k", [0, 5, -1], ids=["first", "middle", "last"])
-    def test_escaped_payload_loads_the_same_array(self, tmp_path, k):
+    def test_escaped_payload_names_entry(self, tmp_path, capsys, k):
+        """A payload written with a JSON escape, which ``save_checkpoint``
+        never writes, is cut like any other and fails base64 validation;
+        resuming from it exits 1 with one line."""
         data = saved_bytes(tmp_path)
-        at = payload_at(data, k % data.count(b'"b64": "'))
+        k %= data.count(b'"b64": "')
+        at = payload_at(data, k)
         escaped = data[:at] + b"\\u%04x" % data[at] + data[at + 1:]
         (tmp_path / "escaped.json").write_bytes(escaped)
-        expected = stored_bytes(load_checkpoint(tmp_path / "ckpt.json"))
-        assert stored_bytes(load_checkpoint(tmp_path / "escaped.json")) == expected
+        name = list(json.loads(data)["arrays"])[k]
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(tmp_path / "escaped.json")
+        assert f"{name} has a bad payload" in str(err.value)
+        (tmp_path / "config.json").write_text(json.dumps({"train": {"steps": 2}}))
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(tmp_path / "config.json"), "--resume",
+                         str(tmp_path / "escaped.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert name in err and list(out.glob("*")) == []
+
+    def test_escaped_quote_in_payload_is_rejected(self, tmp_path):
+        """An escaped quote ends the cut early: the file is JSON, but the text
+        left by the cut is not."""
+        data = saved_bytes(tmp_path)
+        at = payload_at(data, 3) + 4
+        (tmp_path / "quoted.json").write_bytes(data[:at] + b'\\"' + data[at:])
+        with pytest.raises(CheckpointError, match="payload holds an escaped quote"):
+            load_checkpoint(tmp_path / "quoted.json")
 
     @pytest.mark.parametrize("raw", [b"\xc3\xa9", b"\xff", b"\x01", b"\n"],
                              ids=["non-ascii", "not-utf8", "control", "line-break"])
