@@ -145,12 +145,15 @@ def synth_dataset(source: DatasetSource) -> Dataset:
 
 
 def read_bytes(path, kind: str) -> bytes:
-    """The bytes of input file ``path``; a missing ``kind`` file is a ConfigError."""
+    """The bytes of input file ``path``; a ``kind`` file that is missing,
+    a directory or unreadable is a ConfigError."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except FileNotFoundError as err:
         raise ConfigError(f"{kind} not found: {path}") from err
+    except (IsADirectoryError, PermissionError) as err:
+        raise ConfigError(f"cannot read {kind} {path}: {err.strerror}") from err
 
 
 def _read_idx(path: str) -> np.ndarray:

@@ -422,12 +422,15 @@ def gather_rows(matrix: Tensor, indices) -> Tensor:
     return _node("gather_rows", matrix.data[idx].copy(), (matrix,), vjp)
 
 
-# Elements of one tile's im2col column block: the same cache budget as
-# ``vq.TILE_ELEMENTS``.
-CONV_TILE_ELEMENTS = 1 << 16
+# Elements of one tile's (channels, padded positions) block at stride 1,
+# channels being the larger of the input and output counts: 256 KB in
+# double precision, so a tile's grids, response and product buffer stay
+# in cache. Stride 2 builds one small column block for the whole batch
+# and does not tile.
+CONV_TILE_ELEMENTS = 1 << 15
 
 
-def _taps(flat: np.ndarray, start: int, length: int, row: int) -> np.ndarray:
+def _taps(flat: np.ndarray, length: int, row: int) -> np.ndarray:
     """(rows*9, length) im2col block of a channel-major padded grid.
 
     ``flat`` is (rows, cells) with images of padded width ``row`` laid
@@ -435,9 +438,33 @@ def _taps(flat: np.ndarray, start: int, length: int, row: int) -> np.ndarray:
     """
     cols = np.empty((flat.shape[0], 9, length), dtype=flat.dtype)
     for k in range(9):
-        off = start + (k // 3) * row + k % 3
+        off = (k // 3) * row + k % 3
         cols[:, k] = flat[:, off : off + length]
     return cols.reshape(-1, length)
+
+
+def _tap_sum(w_taps: np.ndarray, flat: np.ndarray, length: int, row: int,
+             acc_buf: np.ndarray, prod_buf: np.ndarray) -> np.ndarray:
+    """(P, length) sum over the taps k of ``w_taps[k] @`` the column
+    shift k of ``flat``, with ``w_taps`` (9, P, Q).
+
+    Each product reads a view of ``flat``, lands in ``prod_buf`` and is
+    added into ``acc_buf`` (flat buffers of at least P*length elements,
+    reused across tiles). Where Q is 1 the products are rank-1 updates,
+    which numpy runs about 25x slower than one GEMM on the (9, length)
+    tap stack, so that case copies the stack and takes no ``prod_buf``.
+    """
+    rows = w_taps.shape[1]
+    acc = acc_buf[: rows * length].reshape(rows, length)
+    if w_taps.shape[2] == 1:
+        return np.matmul(w_taps[:, :, 0].T, _taps(flat, length, row), out=acc)
+    prod = prod_buf[: rows * length].reshape(rows, length)
+    np.matmul(w_taps[0], flat[:, :length], out=acc)
+    for k in range(1, 9):
+        off = (k // 3) * row + k % 3
+        np.matmul(w_taps[k], flat[:, off : off + length], out=prod)
+        acc += prod
+    return acc
 
 
 def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -445,22 +472,36 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
     ``x`` is (B, C, H, W), ``w`` is (O, C, 3, 3), ``b`` is (O,).
 
-    im2col on a padded grid: the input is padded once into a
-    channel-major (C, B*(H+2)*(W+2)) array, so each of the 9 taps is a
-    contiguous column shift and a tile of images is one (9C, positions)
-    column block times ``w.reshape(O, 9C)``. That gives the stride-1
-    response at every padded position; every ``stride``-th row and
-    column of the top-left (H, W) corner of each image grid is the
-    output. Tiles hold
-    about ``CONV_TILE_ELEMENTS`` column elements so the block stays in
-    cache, and backward rebuilds each tile's columns instead of keeping
-    them. ``dw`` is the zero-dilated output gradient on the same grid
-    times the transposed columns. ``dx`` is a transposed convolution:
-    the same tap stack, taken on that gradient shifted by one image
-    corner (``2*(W+2)+2``), times the kernel with channels swapped and
-    taps flipped. Its GEMM has inner dimension 9O rather than the O of
-    a col2im product, which numpy runs far slower when O is 1. ``dx``
-    is skipped (None) when ``x`` does not require a gradient.
+    Stride 1 works tile by tile, a tile holding about
+    ``CONV_TILE_ELEMENTS`` elements of one (channels, positions) block.
+    A tile's n images are padded into a channel-major
+    (C, n*(H+2)*(W+2)) grid, so each of the 9 taps is a contiguous
+    column shift. The tile's response is the sum of nine GEMMs, tap
+    weights (O, C) times a shifted view of the grid (the accumulating
+    convolution of Vasudevan et al. 2017, arXiv 1704.04428), and the
+    top-left (H, W) corner of each image grid is the output. ``dw``
+    sums, per tap, the output gradient on the same grid times the
+    transposed shifted view. ``dx`` is a transposed convolution: the
+    same tap sum taken on that gradient shifted by one image corner
+    (``2*(W+2)+2``), with channels swapped and taps flipped. Where a
+    GEMM's inner dimension is 1 (C for the forward, O for ``dx``) the
+    nine products become one on the copied im2col tap stack
+    (``_taps``). The backward rule pads each tile again rather than
+    keep a padded copy of the batch, so the graph holds nothing but
+    ``x`` and evaluation never holds more than one tile's grid.
+
+    Stride 2 builds im2col columns at the output positions only, from
+    nine strided views of the input (zero where a tap falls in the
+    padding): rows in ``c*9 + k`` order, columns in (row, column, image)
+    order so that each copy runs along the batch. ``w.reshape(O, 9C)``
+    times the columns is the output, the output gradient times their
+    transpose is ``dw``, and ``dx`` is the col2im of the transposed
+    kernel times the gradient. That block holds one column per output
+    position, not per padded input position, so it is small enough for
+    the backward rule to keep; under ``_no_graph`` there is no backward
+    rule and it is freed as soon as the op returns.
+
+    ``dx`` is skipped (None) when ``x`` does not require a gradient.
     """
     if stride not in (1, 2):
         raise DimensionError(f"conv2d_3x3 stride must be 1 or 2, got {stride}")
@@ -474,43 +515,86 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise DimensionError(
             f"conv2d_3x3: x {x.data.shape}, w {w.data.shape}, b {b.data.shape}"
         )
-    row = width + 2
-    cells = (height + 2) * row
-    shift = 2 * row + 2  # the largest tap offset
+    oh, ow = (height - 1) // stride + 1, (width - 1) // stride + 1
+    out = np.empty((batch, out_ch, oh, ow), dtype=x.dtype)
+    if stride == 2:
+        w_cols = w.data.reshape(out_ch, chans * 9)
 
-    def grid(flat, start, n):
-        """(n, rows, H+2, W+2) view of n images of a flat padded grid."""
-        block = flat[:, start : start + n * cells].reshape(-1, n, height + 2, row)
-        return block.transpose(1, 0, 2, 3)
+        def along(i, n, size):
+            """(output, input) slices of tap offset i on one axis: output r
+            reads input 2r + i - 1 where that lies in [0, size)."""
+            lo, hi = int(i == 0), min(n, (size - i) // 2 + 1)
+            return slice(lo, hi), slice(2 * lo + i - 1, 2 * hi + i - 2, 2)
 
-    def tiles(rows):
-        step = max(1, CONV_TILE_ELEMENTS // (9 * rows * cells))
-        for b0 in range(0, batch, step):
-            n = min(step, batch - b0)
-            yield b0, n, b0 * cells, n * cells
+        windows = [(k, *along(k // 3, oh, height), *along(k % 3, ow, width)) for k in range(9)]
+        x_t = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))  # (C, H, W, B)
+        cols = np.zeros((chans, 9, oh, ow, batch), dtype=x.dtype)
+        for k, out_rows, in_rows, out_cols, in_cols in windows:
+            cols[:, k, out_rows, out_cols] = x_t[:, in_rows, in_cols]
+        cols = cols.reshape(chans * 9, oh * ow * batch)
+        del x_t
+        out[...] = (w_cols @ cols).reshape(out_ch, oh, ow, batch).transpose(3, 0, 1, 2)
+    else:
+        row = width + 2
+        cells = (height + 2) * row
+        shift = 2 * row + 2  # the largest tap offset
+        step = max(1, CONV_TILE_ELEMENTS // (max(chans, out_ch) * cells))
+        tiles = [(b0, min(step, batch - b0)) for b0 in range(0, batch, step)]
+        span = min(step, batch) * cells  # positions of the longest tile
 
-    xflat = np.zeros((chans, batch * cells + shift), dtype=x.dtype)
-    grid(xflat, 0, batch)[:, :, 1 : height + 1, 1 : width + 1] = x.data
-    out = np.empty((batch, out_ch, (height - 1) // stride + 1, (width - 1) // stride + 1),
-                   dtype=x.dtype)
-    w_cols = w.data.reshape(out_ch, chans * 9)
-    for b0, n, start, length in tiles(chans):
-        resp = w_cols @ _taps(xflat, start, length, row)
-        out[b0 : b0 + n] = grid(resp, 0, n)[:, :, :height:stride, :width:stride]
+        def grid(flat, start, n):
+            """(n, rows, H+2, W+2) view of n images of a flat padded grid."""
+            block = flat[:, start : start + n * cells].reshape(-1, n, height + 2, row)
+            return block.transpose(1, 0, 2, 3)
+
+        def laid(arr, start, at):
+            """Zero (channels, n*cells + shift) grid holding the n images
+            of ``arr`` from column ``start``, each at row and column ``at``."""
+            flat = np.zeros((arr.shape[1], arr.shape[0] * cells + shift), dtype=arr.dtype)
+            grid(flat, start, arr.shape[0])[:, :, at : at + height, at : at + width] = arr
+            return flat
+
+        def scratch(rows, inner):
+            """``_tap_sum``'s accumulator and product buffers; it takes
+            no product buffer where the inner dimension is 1."""
+            acc = np.empty(rows * span, dtype=x.dtype)
+            return acc, (np.empty_like(acc) if inner > 1 else None)
+
+        w_taps = w.data.transpose(2, 3, 0, 1).reshape(9, out_ch, chans)
+        acc, buf = scratch(out_ch, chans)
+        for b0, n in tiles:
+            x_grid = laid(x.data[b0 : b0 + n], 0, 1)
+            resp = _tap_sum(w_taps, x_grid, n * cells, row, acc, buf)
+            out[b0 : b0 + n] = grid(resp, 0, n)[:, :, :height, :width]
     out += b.data[:, None, None]
 
     def vjp(g):
-        gflat = np.zeros((out_ch, batch * cells + shift), dtype=g.dtype)
-        grid(gflat, shift, batch)[:, :, :height:stride, :width:stride] = g
-        dw = np.zeros((out_ch, chans * 9), dtype=w.dtype)
         dx = np.empty_like(x.data) if x.requires_grad else None
-        w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(chans, out_ch * 9)
-        for b0, n, start, length in tiles(chans if dx is None else max(chans, out_ch)):
-            dw += gflat[:, shift + start : shift + start + length] @ _taps(xflat, start, length, row).T
+        if stride == 2:
+            gmat = g.transpose(1, 2, 3, 0).reshape(out_ch, oh * ow * batch)
             if dx is not None:
-                resp = w_flip @ _taps(gflat, start, length, row)
+                dcols = (w_cols.T @ gmat).reshape(chans, 9, oh, ow, batch)
+                dx_t = np.zeros((chans, height, width, batch), dtype=g.dtype)
+                for k, out_rows, in_rows, out_cols, in_cols in windows:
+                    dx_t[:, in_rows, in_cols] += dcols[:, k, out_rows, out_cols]
+                dx[...] = dx_t.transpose(3, 0, 1, 2)
+            return dx, (gmat @ cols.T).reshape(w.data.shape), g.sum(axis=(0, 2, 3))
+        dw = np.zeros(w.data.shape, dtype=w.dtype)
+        if dx is not None:
+            wt_taps = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(9, chans, out_ch)
+            acc, buf = scratch(chans, out_ch)
+        for b0, n in tiles:
+            length = n * cells
+            x_grid = laid(x.data[b0 : b0 + n], 0, 1)
+            g_grid = laid(g[b0 : b0 + n], shift, 0)
+            g_rows = g_grid[:, shift : shift + length]
+            for k in range(9):
+                off = (k // 3) * row + k % 3
+                dw[:, :, k // 3, k % 3] += g_rows @ x_grid[:, off : off + length].T
+            if dx is not None:
+                resp = _tap_sum(wt_taps, g_grid, length, row, acc, buf)
                 dx[b0 : b0 + n] = grid(resp, 0, n)[:, :, 1 : height + 1, 1 : width + 1]
-        return dx, dw.reshape(w.data.shape), g.sum(axis=(0, 2, 3))
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
     return _node("conv2d_3x3", out, (x, w, b), vjp)
 

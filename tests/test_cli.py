@@ -78,6 +78,19 @@ class TestTrain:
         assert rc == 1
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["report", "train"])
+    def test_directory_input_exits_one(self, tmp_path, capsys, command):
+        # a permission-denied input takes the same path but cannot be
+        # made unreadable to a process running as root, so it is not tested
+        (tmp_path / "report.json").mkdir()
+        argv = {"report": ["report", "--run", str(tmp_path)],
+                "train": ["train", "--config", str(tmp_path), "--out", str(tmp_path / "o")]}
+        assert cli_main(argv[command]) == 1
+        err = capsys.readouterr().err
+        kind = {"report": "run report", "train": "config file"}[command]
+        assert err.startswith(f"error: cannot read {kind} ") and "Is a directory" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("name", ["a\nb.json", "a\rb.json", "a\u2028b.json"],
                              ids=["newline", "carriage-return", "line-separator"])
     def test_line_break_in_message_is_escaped(self, tmp_path, capsys, name):

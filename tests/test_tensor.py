@@ -161,6 +161,18 @@ def _small_loss():
     return mse(out, Tensor(np.zeros((2, 3)))), (x, w, b, wa, ba)
 
 
+def _closure_arrays(fn):
+    """The arrays that closure ``fn`` keeps alive; cells of variables
+    never assigned on the path taken are empty and skipped."""
+    for cell in fn.__closure__:
+        try:
+            value = cell.cell_contents
+        except ValueError:
+            continue
+        if isinstance(value, np.ndarray):
+            yield value
+
+
 class TestNoGraph:
     def test_ops_keep_no_parents_or_vjp(self):
         with tensor._no_graph():
@@ -182,6 +194,28 @@ class TestNoGraph:
         loss, leaves = _small_loss()
         backward(loss)
         assert loss._vjp is not None and all(leaf.grad is not None for leaf in leaves)
+
+    def test_stride2_conv_keeps_no_column_block(self):
+        # the recorded node's backward rule holds the (9C, positions)
+        # column block; built without a graph the node holds no rule, so
+        # evaluation frees the block as soon as the op returns
+        rng = RNG(7)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((4, 16, 4, 4), (16, 16, 3, 3), (16,)))
+        recorded = conv2d_3x3(x, w, b, stride=2)
+        assert (16 * 9, 2 * 2 * 4) in [a.shape for a in _closure_arrays(recorded._vjp)]
+        with tensor._no_graph():
+            out = conv2d_3x3(x, w, b, stride=2)
+        assert (out._vjp, out._parents, out.requires_grad) == (None, (), False)
+        np.testing.assert_array_equal(out.data, recorded.data)
+
+    def test_stride1_conv_rule_keeps_no_padded_grid(self):
+        # the backward rule pads each tile again, so a recorded graph
+        # holds no padded copy of the batch
+        rng = RNG(8)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((4, 16, 4, 4), (16, 16, 3, 3), (16,)))
+        assert list(_closure_arrays(conv2d_3x3(x, w, b, stride=1)._vjp)) == []
 
 
 class TestStraightThrough:
@@ -402,14 +436,40 @@ class TestUpsampleGradient:
         assert np.all(np.abs(dx - ref) <= 6 * np.finfo(dtype).eps * mag)
 
 
+def _check_conv_against_reference(x, w, b, g, stride, x_grad):
+    """conv2d_3x3's output and gradients against the einsum reference.
+
+    Tolerances are relative to the sum of the absolute terms, which
+    bounds the rounding of any summation order."""
+    dtype = x.dtype
+    out = conv2d_3x3(Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True),
+                     Tensor(b, requires_grad=True), stride=stride)
+    grads = out._vjp(g)
+    f64 = lambda *arrays: [a.astype(np.float64) for a in arrays]
+    want = reference_conv2d_3x3(*f64(x, w, b), stride, *f64(g))
+    scale = reference_conv2d_3x3(*f64(abs(x), abs(w), abs(b)), stride, *f64(abs(g)))
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    for name, got, ref, mag in zip(("out", "dx", "dw", "db"), (out.data, *grads), want, scale):
+        if name == "dx" and not x_grad:
+            assert got is None
+            continue
+        assert got.dtype == dtype and got.shape == ref.shape, name
+        assert np.all(np.abs(got - ref) <= rtol * mag), name
+
+
+def _conv_operands(rng, batch, chans, out_ch, height, width, stride, dtype):
+    oh, ow = (height - 1) // stride + 1, (width - 1) // stride + 1
+    return tuple(rng.normal(size=s).astype(dtype) for s in
+                 ((batch, chans, height, width), (out_ch, chans, 3, 3), (out_ch,),
+                  (batch, out_ch, oh, ow)))
+
+
 class TestConvMatchesReference:
     @given(st.data())
     @settings(deadline=None, max_examples=200)
     def test_property_matches_einsum_reference(self, data):
-        # tolerances are relative to the sum of the absolute terms, which
-        # bounds the rounding of any summation order; the tile budget is
-        # set to whole images so a batch spans several tiles, the last
-        # one ragged
+        # the tile budget is set to whole images so that at stride 1 a
+        # batch spans several tiles, the last one ragged
         batch, chans, out_ch = (data.draw(st.integers(1, 5), label=k) for k in "BCO")
         height, width = (data.draw(st.integers(1, 9), label=k) for k in "HW")
         stride = data.draw(st.sampled_from([1, 2]), label="stride")
@@ -417,25 +477,23 @@ class TestConvMatchesReference:
         x_grad = data.draw(st.booleans(), label="x_requires_grad")
         per_tile = data.draw(st.integers(1, batch), label="images_per_tile")
         rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        x, w, b = (rng.normal(size=s).astype(dtype) for s in
-                   ((batch, chans, height, width), (out_ch, chans, 3, 3), (out_ch,)))
-        oh, ow = (height - 1) // stride + 1, (width - 1) // stride + 1
-        g = rng.normal(size=(batch, out_ch, oh, ow)).astype(dtype)
-        tile = per_tile * 9 * chans * (height + 2) * (width + 2)
+        x, w, b, g = _conv_operands(rng, batch, chans, out_ch, height, width, stride, dtype)
+        tile = per_tile * max(chans, out_ch) * (height + 2) * (width + 2)
         with mock.patch.object(tensor, "CONV_TILE_ELEMENTS", tile):
-            out = conv2d_3x3(Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True),
-                             Tensor(b, requires_grad=True), stride=stride)
-            grads = out._vjp(g)
-        f64 = lambda *arrays: [a.astype(np.float64) for a in arrays]
-        want = reference_conv2d_3x3(*f64(x, w, b), stride, *f64(g))
-        scale = reference_conv2d_3x3(*f64(abs(x), abs(w), abs(b)), stride, *f64(abs(g)))
-        rtol = 1e-12 if dtype == np.float64 else 1e-5
-        for name, got, ref, mag in zip(("out", "dx", "dw", "db"), (out.data, *grads), want, scale):
-            if name == "dx" and not x_grad:
-                assert got is None
-                continue
-            assert got.dtype == dtype and got.shape == ref.shape, name
-            assert np.all(np.abs(got - ref) <= rtol * mag), name
+            _check_conv_against_reference(x, w, b, g, stride, x_grad)
+
+    # the four layers of a 16-channel small_conv model on 8x8 images, at
+    # the training batch and the module's tile budget: enc.conv1 (its
+    # input needs no gradient), enc.conv2, dec.conv1 and dec.conv2 (a
+    # one-output layer, whose dx takes the copied tap stack)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("chans, out_ch, height, width, stride, x_grad", [
+        (1, 16, 8, 8, 2, False), (16, 16, 4, 4, 2, True),
+        (16, 16, 4, 4, 1, True), (16, 1, 8, 8, 1, True),
+    ], ids=["enc.conv1", "enc.conv2", "dec.conv1", "dec.conv2"])
+    def test_conv_model_layers(self, chans, out_ch, height, width, stride, x_grad, dtype):
+        x, w, b, g = _conv_operands(RNG(16), 64, chans, out_ch, height, width, stride, dtype)
+        _check_conv_against_reference(x, w, b, g, stride, x_grad)
 
 
 class TestShapeErrors:
