@@ -2,10 +2,11 @@
 
 Two desk-scale architectures: a dense path (vector in, one hidden
 nonlinearity each side, one latent row per sample) and a small
-convolutional path (two stride-2 3x3 convolutions down, nearest
-upsample plus convolution back up, one latent row per spatial
-position). The quantizer between them is a fixed codebook, an adaptive
-pool, or none (a plain autoencoder: the identity quantizer).
+convolutional path (two stride-2 3x3 convolutions down; back up, two
+3x3 convolutions of a nearest 2x upsample, each computed on the
+low-resolution grid; one latent row per spatial position). The
+quantizer between them is a fixed codebook, an adaptive pool, or none
+(a plain autoencoder: the identity quantizer).
 ``quantizer_output`` is the one place that tells the three kinds apart
 in training; each hands back a ``QuantResult``, so the loss and training
 code never branch on the kind. ``evaluate`` alone quantizes an adaptive
@@ -39,7 +40,6 @@ from .tensor import (
     relu,
     reshape,
     transpose,
-    upsample2x,
     zeros_param,
 )
 from .vq import CodebookSpec, QuantizerLayer, QuantResult, ema_update
@@ -265,8 +265,8 @@ def encode(x, state: TrainState) -> Tensor:
     if config.encoder_arch == "dense":
         hidden = relu(affine(t, p["enc.w1"], p["enc.b1"]))
         return affine(hidden, p["enc.w2"], p["enc.b2"])
-    feat = relu(conv2d_3x3(t, p["enc.conv1.w"], p["enc.conv1.b"], stride=2))
-    feat = conv2d_3x3(feat, p["enc.conv2.w"], p["enc.conv2.b"], stride=2)
+    feat = relu(conv2d_3x3(t, p["enc.conv1.w"], p["enc.conv1.b"], "down"))
+    feat = conv2d_3x3(feat, p["enc.conv2.w"], p["enc.conv2.b"], "down")
     b = feat.data.shape[0]
     gh, gw = config.latent_grid
     rows = reshape(transpose(feat, (0, 2, 3, 1)), (b * gh * gw, config.num_hiddens))
@@ -290,8 +290,8 @@ def decode(z_rows: Tensor, state: TrainState) -> Tensor:
         raise DimensionError(f"{t_rows} rows do not tile a {gh}x{gw} latent grid")
     b = t_rows // (gh * gw)
     feat = transpose(reshape(z_rows, (b, gh, gw, config.num_hiddens)), (0, 3, 1, 2))
-    feat = relu(conv2d_3x3(upsample2x(feat), p["dec.conv1.w"], p["dec.conv1.b"], stride=1))
-    return conv2d_3x3(upsample2x(feat), p["dec.conv2.w"], p["dec.conv2.b"], stride=1)
+    feat = relu(conv2d_3x3(feat, p["dec.conv1.w"], p["dec.conv1.b"], "up"))
+    return conv2d_3x3(feat, p["dec.conv2.w"], p["dec.conv2.b"], "up")
 
 
 def quantizer_output(z_rows: Tensor, state: TrainState, tau: float = 1.0,
@@ -399,7 +399,7 @@ def evaluate(data, state: TrainState, batch_size: int = EVAL_BATCH_SIZE) -> dict
 
     The pass records no autodiff graph (``tensor._no_graph``): nothing
     here is differentiated, and a recorded graph would keep every
-    activation of a batch alive, each convolution's padded input grid
+    activation of a batch alive, each encoder convolution's column block
     included, until the batch's loss is dropped (rates in
     ``BENCH_20.json``).
     """

@@ -48,7 +48,6 @@ __all__ = [
     "straight_through",
     "gather_rows",
     "conv2d_3x3",
-    "upsample2x",
 ]
 
 
@@ -422,89 +421,96 @@ def gather_rows(matrix: Tensor, indices) -> Tensor:
     return _node("gather_rows", matrix.data[idx].copy(), (matrix,), vjp)
 
 
-# Elements of one tile's (channels, padded positions) block at stride 1,
-# channels being the larger of the input and output counts: 256 KB in
-# double precision, so a tile's grids, response and product buffer stay
-# in cache. Stride 2 builds one small column block for the whole batch
-# and does not tile.
-CONV_TILE_ELEMENTS = 1 << 15
+# Elements of one tile's (9C, positions) column block in "up" mode: 512 KB
+# in double precision. At 1 << 15 and 1 << 18 the conv-w64 benchmark
+# evaluated no faster, and 1 << 18 and an untiled block read a higher
+# peak RSS. "down" builds one small block for the whole batch and does
+# not tile.
+CONV_TILE_ELEMENTS = 1 << 16
+
+# Per axis and output phase a (rows of the first index), which taps of a
+# 3x3 kernel (columns) read low-resolution neighbour i-1, i and i+1 (the
+# rows of each 3x3 block) after a nearest 2x upsample: output 2i reads
+# upsampled rows 2i-1, 2i and 2i+1, that is neighbours i-1, i and i;
+# output 2i+1 reads i, i and i+1.
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]],
+                        [[0, 0, 0], [1, 1, 0], [0, 0, 1]]])
+# (36, 9) 0/1 map from a kernel's taps (column 3t + s) to the four phase
+# kernels on the low-resolution grid (row 9(2a + c) + 3n + m: phase (a, c),
+# neighbour (i + n - 1, j + m - 1)).
+_UP_TAPS = np.einsum("ant,cms->acnmts", _PHASE_TAPS, _PHASE_TAPS).reshape(36, 9)
 
 
-def _taps(flat: np.ndarray, length: int, row: int) -> np.ndarray:
-    """(rows*9, length) im2col block of a channel-major padded grid.
+def _windows(step: int, oh: int, ow: int, height: int, width: int) -> list:
+    """The nine taps' (k, output rows, input rows, output columns, input
+    columns) slices: output (r, q) of tap k = 3i + j reads input
+    (step*r + i - 1, step*q + j - 1) where that lies inside the input."""
 
-    ``flat`` is (rows, cells) with images of padded width ``row`` laid
-    end to end; tap (i, j) is the column shift ``i*row + j``.
-    """
-    cols = np.empty((flat.shape[0], 9, length), dtype=flat.dtype)
-    for k in range(9):
-        off = (k // 3) * row + k % 3
-        cols[:, k] = flat[:, off : off + length]
-    return cols.reshape(-1, length)
+    def along(i, n, size):
+        lo, hi = int(i == 0), min(n, (size - i) // step + 1)
+        return slice(lo, hi), slice(step * lo + i - 1, step * hi + i - step, step)
 
-
-def _tap_sum(w_taps: np.ndarray, flat: np.ndarray, length: int, row: int,
-             acc_buf: np.ndarray, prod_buf: np.ndarray) -> np.ndarray:
-    """(P, length) sum over the taps k of ``w_taps[k] @`` the column
-    shift k of ``flat``, with ``w_taps`` (9, P, Q).
-
-    Each product reads a view of ``flat``, lands in ``prod_buf`` and is
-    added into ``acc_buf`` (flat buffers of at least P*length elements,
-    reused across tiles). Where Q is 1 the products are rank-1 updates,
-    which numpy runs about 25x slower than one GEMM on the (9, length)
-    tap stack, so that case copies the stack and takes no ``prod_buf``.
-    """
-    rows = w_taps.shape[1]
-    acc = acc_buf[: rows * length].reshape(rows, length)
-    if w_taps.shape[2] == 1:
-        return np.matmul(w_taps[:, :, 0].T, _taps(flat, length, row), out=acc)
-    prod = prod_buf[: rows * length].reshape(rows, length)
-    np.matmul(w_taps[0], flat[:, :length], out=acc)
-    for k in range(1, 9):
-        off = (k // 3) * row + k % 3
-        np.matmul(w_taps[k], flat[:, off : off + length], out=prod)
-        acc += prod
-    return acc
+    return [(k, *along(k // 3, oh, height), *along(k % 3, ow, width)) for k in range(9)]
 
 
-def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """3x3 convolution with zero padding 1 and stride 1 or 2.
+def _im2col(x: np.ndarray, windows: list, oh: int, ow: int) -> np.ndarray:
+    """(9C, oh*ow*B) columns of a (B, C, H, W) input at the output
+    positions: rows in ``c*9 + k`` order, columns in (row, column, image)
+    order so that each copy runs along the batch, zero where a tap falls
+    in the padding."""
+    batch, chans = x.shape[:2]
+    x_t = np.ascontiguousarray(x.transpose(1, 2, 3, 0))  # (C, H, W, B)
+    cols = np.zeros((chans, 9, oh, ow, batch), dtype=x_t.dtype)
+    for k, out_rows, in_rows, out_cols, in_cols in windows:
+        cols[:, k, out_rows, out_cols] = x_t[:, in_rows, in_cols]
+    return cols.reshape(chans * 9, oh * ow * batch)
 
-    ``x`` is (B, C, H, W), ``w`` is (O, C, 3, 3), ``b`` is (O,).
 
-    Stride 1 works tile by tile, a tile holding about
-    ``CONV_TILE_ELEMENTS`` elements of one (channels, positions) block.
-    A tile's n images are padded into a channel-major
-    (C, n*(H+2)*(W+2)) grid, so each of the 9 taps is a contiguous
-    column shift. The tile's response is the sum of nine GEMMs, tap
-    weights (O, C) times a shifted view of the grid (the accumulating
-    convolution of Vasudevan et al. 2017, arXiv 1704.04428), and the
-    top-left (H, W) corner of each image grid is the output. ``dw``
-    sums, per tap, the output gradient on the same grid times the
-    transposed shifted view. ``dx`` is a transposed convolution: the
-    same tap sum taken on that gradient shifted by one image corner
-    (``2*(W+2)+2``), with channels swapped and taps flipped. Where a
-    GEMM's inner dimension is 1 (C for the forward, O for ``dx``) the
-    nine products become one on the copied im2col tap stack
-    (``_taps``). The backward rule pads each tile again rather than
-    keep a padded copy of the batch, so the graph holds nothing but
-    ``x`` and evaluation never holds more than one tile's grid.
+def _col2im(dcols: np.ndarray, windows: list, shape: tuple) -> np.ndarray:
+    """The adjoint of ``_im2col``: the (B, C, H, W) input gradient of
+    column gradients ``dcols`` shaped (C, 9, oh, ow, B), for an input
+    of (C, H, W, B) ``shape``."""
+    dx_t = np.zeros(shape, dtype=dcols.dtype)
+    for k, out_rows, in_rows, out_cols, in_cols in windows:
+        dx_t[:, in_rows, in_cols] += dcols[:, k, out_rows, out_cols]
+    return dx_t.transpose(3, 0, 1, 2)
 
-    Stride 2 builds im2col columns at the output positions only, from
-    nine strided views of the input (zero where a tap falls in the
-    padding): rows in ``c*9 + k`` order, columns in (row, column, image)
-    order so that each copy runs along the batch. ``w.reshape(O, 9C)``
-    times the columns is the output, the output gradient times their
-    transpose is ``dw``, and ``dx`` is the col2im of the transposed
-    kernel times the gradient. That block holds one column per output
-    position, not per padded input position, so it is small enough for
-    the backward rule to keep; under ``_no_graph`` there is no backward
-    rule and it is freed as soon as the op returns.
+
+def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mode: str) -> Tensor:
+    """3x3 convolution with zero padding 1, either at stride 2 ("down") or
+    after a nearest 2x upsample of the input ("up").
+
+    ``x`` is (B, C, H, W), ``w`` is (O, C, 3, 3), ``b`` is (O,). The
+    output is (B, O, ceil(H/2), ceil(W/2)) down and (B, O, 2H, 2W) up.
+
+    Both modes are one GEMM on im2col columns taken at the positions of
+    a low-resolution grid, from nine strided views of the
+    (C, H, W, B)-transposed input (``_im2col``): rows in ``c*9 + k``
+    order, the batch innermost. The output gradient times the columns'
+    transpose gives the kernel gradient, and ``dx`` is the col2im
+    (``_col2im``) of the transposed kernel times the output gradient.
+
+    Down, the columns sit at the output positions and the kernel is
+    ``w.reshape(O, 9C)``. The block holds one column per output
+    position, so the backward rule keeps it; under ``_no_graph`` there
+    is no backward rule and it is freed as soon as the op returns.
+
+    Up, output pixel (2i + a, 2j + c) reads only the 3x3 low-resolution
+    neighbourhood of (i, j), so the op never builds the upsampled input:
+    the columns sit at the input positions and the kernel is the four
+    phase kernels (a, c) stacked, (4O, 9C), built from ``w`` through the
+    0/1 tap map ``_UP_TAPS`` (Shi et al. 2016, arXiv 1609.05158). Its
+    product is interleaved into the (2H, 2W) output, and the kernel
+    gradient is folded back through the map's transpose. The batch goes
+    in tiles of whole images, each tile's columns holding at most about
+    ``CONV_TILE_ELEMENTS`` elements, and the backward rule rebuilds each
+    tile's columns from ``x``, so neither the graph nor evaluation holds
+    a batch's column block.
 
     ``dx`` is skipped (None) when ``x`` does not require a gradient.
     """
-    if stride not in (1, 2):
-        raise DimensionError(f"conv2d_3x3 stride must be 1 or 2, got {stride}")
+    if mode not in ("down", "up"):
+        raise DimensionError(f"conv2d_3x3 mode must be 'down' or 'up', got {mode!r}")
     if x.data.ndim != 4:
         raise DimensionError(f"conv2d_3x3 input must be rank 4, got {x.data.shape}")
     if w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
@@ -515,98 +521,47 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise DimensionError(
             f"conv2d_3x3: x {x.data.shape}, w {w.data.shape}, b {b.data.shape}"
         )
-    oh, ow = (height - 1) // stride + 1, (width - 1) // stride + 1
-    out = np.empty((batch, out_ch, oh, ow), dtype=x.dtype)
-    if stride == 2:
+    if mode == "down":
+        oh, ow = (height - 1) // 2 + 1, (width - 1) // 2 + 1
+        windows = _windows(2, oh, ow, height, width)
         w_cols = w.data.reshape(out_ch, chans * 9)
-
-        def along(i, n, size):
-            """(output, input) slices of tap offset i on one axis: output r
-            reads input 2r + i - 1 where that lies in [0, size)."""
-            lo, hi = int(i == 0), min(n, (size - i) // 2 + 1)
-            return slice(lo, hi), slice(2 * lo + i - 1, 2 * hi + i - 2, 2)
-
-        windows = [(k, *along(k // 3, oh, height), *along(k % 3, ow, width)) for k in range(9)]
-        x_t = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))  # (C, H, W, B)
-        cols = np.zeros((chans, 9, oh, ow, batch), dtype=x.dtype)
-        for k, out_rows, in_rows, out_cols, in_cols in windows:
-            cols[:, k, out_rows, out_cols] = x_t[:, in_rows, in_cols]
-        cols = cols.reshape(chans * 9, oh * ow * batch)
-        del x_t
-        out[...] = (w_cols @ cols).reshape(out_ch, oh, ow, batch).transpose(3, 0, 1, 2)
+        cols = _im2col(x.data, windows, oh, ow)
+        out = (w_cols @ cols).reshape(out_ch, oh, ow, batch).transpose(3, 0, 1, 2)
+        out = np.ascontiguousarray(out)
     else:
-        row = width + 2
-        cells = (height + 2) * row
-        shift = 2 * row + 2  # the largest tap offset
-        step = max(1, CONV_TILE_ELEMENTS // (max(chans, out_ch) * cells))
-        tiles = [(b0, min(step, batch - b0)) for b0 in range(0, batch, step)]
-        span = min(step, batch) * cells  # positions of the longest tile
-
-        def grid(flat, start, n):
-            """(n, rows, H+2, W+2) view of n images of a flat padded grid."""
-            block = flat[:, start : start + n * cells].reshape(-1, n, height + 2, row)
-            return block.transpose(1, 0, 2, 3)
-
-        def laid(arr, start, at):
-            """Zero (channels, n*cells + shift) grid holding the n images
-            of ``arr`` from column ``start``, each at row and column ``at``."""
-            flat = np.zeros((arr.shape[1], arr.shape[0] * cells + shift), dtype=arr.dtype)
-            grid(flat, start, arr.shape[0])[:, :, at : at + height, at : at + width] = arr
-            return flat
-
-        def scratch(rows, inner):
-            """``_tap_sum``'s accumulator and product buffers; it takes
-            no product buffer where the inner dimension is 1."""
-            acc = np.empty(rows * span, dtype=x.dtype)
-            return acc, (np.empty_like(acc) if inner > 1 else None)
-
-        w_taps = w.data.transpose(2, 3, 0, 1).reshape(9, out_ch, chans)
-        acc, buf = scratch(out_ch, chans)
-        for b0, n in tiles:
-            x_grid = laid(x.data[b0 : b0 + n], 0, 1)
-            resp = _tap_sum(w_taps, x_grid, n * cells, row, acc, buf)
-            out[b0 : b0 + n] = grid(resp, 0, n)[:, :, :height, :width]
+        windows = _windows(1, height, width, height, width)
+        taps = _UP_TAPS.astype(w.dtype)
+        w_all = (w.data.reshape(out_ch * chans, 9) @ taps.T).reshape(out_ch, chans, 4, 9)
+        w_all = w_all.transpose(2, 0, 1, 3).reshape(4 * out_ch, chans * 9)
+        step = max(1, CONV_TILE_ELEMENTS // (chans * 9 * height * width))
+        tiles = [slice(b0, min(b0 + step, batch)) for b0 in range(0, batch, step)]
+        out = np.empty((batch, out_ch, 2 * height, 2 * width), dtype=x.dtype)
+        for tile in tiles:
+            n = tile.stop - tile.start
+            resp = w_all @ _im2col(x.data[tile], windows, height, width)
+            out[tile].reshape(n, out_ch, height, 2, width, 2)[...] = (
+                resp.reshape(2, 2, out_ch, height, width, n).transpose(5, 2, 3, 0, 4, 1))
     out += b.data[:, None, None]
 
     def vjp(g):
         dx = np.empty_like(x.data) if x.requires_grad else None
-        if stride == 2:
+        if mode == "down":
             gmat = g.transpose(1, 2, 3, 0).reshape(out_ch, oh * ow * batch)
             if dx is not None:
                 dcols = (w_cols.T @ gmat).reshape(chans, 9, oh, ow, batch)
-                dx_t = np.zeros((chans, height, width, batch), dtype=g.dtype)
-                for k, out_rows, in_rows, out_cols, in_cols in windows:
-                    dx_t[:, in_rows, in_cols] += dcols[:, k, out_rows, out_cols]
-                dx[...] = dx_t.transpose(3, 0, 1, 2)
+                dx[...] = _col2im(dcols, windows, (chans, height, width, batch))
             return dx, (gmat @ cols.T).reshape(w.data.shape), g.sum(axis=(0, 2, 3))
-        dw = np.zeros(w.data.shape, dtype=w.dtype)
-        if dx is not None:
-            wt_taps = w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(9, chans, out_ch)
-            acc, buf = scratch(chans, out_ch)
-        for b0, n in tiles:
-            length = n * cells
-            x_grid = laid(x.data[b0 : b0 + n], 0, 1)
-            g_grid = laid(g[b0 : b0 + n], shift, 0)
-            g_rows = g_grid[:, shift : shift + length]
-            for k in range(9):
-                off = (k // 3) * row + k % 3
-                dw[:, :, k // 3, k % 3] += g_rows @ x_grid[:, off : off + length].T
+        dw_all = np.zeros(w_all.shape, dtype=w.dtype)
+        for tile in tiles:
+            n = tile.stop - tile.start
+            gmat = g[tile].reshape(n, out_ch, height, 2, width, 2).transpose(3, 5, 1, 2, 4, 0)
+            gmat = gmat.reshape(4 * out_ch, height * width * n)
+            dw_all += gmat @ _im2col(x.data[tile], windows, height, width).T
             if dx is not None:
-                resp = _tap_sum(wt_taps, g_grid, length, row, acc, buf)
-                dx[b0 : b0 + n] = grid(resp, 0, n)[:, :, 1 : height + 1, 1 : width + 1]
-        return dx, dw, g.sum(axis=(0, 2, 3))
+                dcols = (w_all.T @ gmat).reshape(chans, 9, height, width, n)
+                dx[tile] = _col2im(dcols, windows, (chans, height, width, n))
+        dw_all = dw_all.reshape(4, out_ch, chans, 9).transpose(1, 2, 0, 3)
+        dw = dw_all.reshape(out_ch * chans, 36) @ taps
+        return dx, dw.reshape(w.data.shape), g.sum(axis=(0, 2, 3))
 
     return _node("conv2d_3x3", out, (x, w, b), vjp)
-
-
-def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling of a (B, C, H, W) tensor."""
-    if x.data.ndim != 4:
-        raise DimensionError(f"upsample2x input must be rank 4, got {x.data.shape}")
-    out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-
-    def vjp(g):  # each input pixel's four copies, summed as (a00 + a01) + (a10 + a11)
-        return ((g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
-                + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]),)
-
-    return _node("upsample2x", out, (x,), vjp)

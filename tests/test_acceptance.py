@@ -97,7 +97,7 @@ class TestCriterion1GradientOracle:
         # every differentiable op, randomized small inputs
         from aqvq.tensor import (affine, bmm, concat, conv2d_3x3, gather_rows,
                                  matmul, mul_scalar, relu, reshape, softmax,
-                                 transpose, upsample2x)
+                                 transpose)
         rng = RNG(100)
         checks = []
         a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -134,11 +134,14 @@ class TestCriterion1GradientOracle:
         cb = Tensor(rng.normal(size=3), requires_grad=True)
         cx = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
         checks.append(({"cw": cw, "cb": cb, "cx": cx},
-                       lambda: mse(conv2d_3x3(cx, cw, cb, stride=2),
+                       lambda: mse(conv2d_3x3(cx, cw, cb, "down"),
                                    Tensor(np.zeros((2, 3, 2, 2))))))
         ux = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-        checks.append(({"ux": ux},
-                       lambda: mse(upsample2x(ux), Tensor(np.zeros((1, 2, 6, 6))))))
+        uw = Tensor(0.4 * rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        ub = Tensor(rng.normal(size=3), requires_grad=True)
+        checks.append(({"uw": uw, "ub": ub, "ux": ux},
+                       lambda: mse(conv2d_3x3(ux, uw, ub, "up"),
+                                   Tensor(np.zeros((1, 3, 6, 6))))))
         for params, build in checks:
             self._check_params(build, build, params)
 

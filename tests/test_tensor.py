@@ -32,7 +32,6 @@ from aqvq.tensor import (
     softmax,
     straight_through,
     transpose,
-    upsample2x,
 )
 
 RNG = np.random.default_rng
@@ -151,12 +150,12 @@ class TestGraph:
 def _small_loss():
     """A conv, affine and mse chain on trainable leaves: (loss, leaves)."""
     rng = RNG(7)
-    x = Tensor(rng.normal(size=(2, 1, 4, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 1, 2, 2)), requires_grad=True)
     w = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=2), requires_grad=True)
     wa = Tensor(rng.normal(size=(32, 3)), requires_grad=True)
     ba = Tensor(rng.normal(size=3), requires_grad=True)
-    hidden = relu(conv2d_3x3(x, w, b))
+    hidden = relu(conv2d_3x3(x, w, b, "up"))
     out = affine(reshape(hidden, (2, 32)), wa, ba)
     return mse(out, Tensor(np.zeros((2, 3)))), (x, w, b, wa, ba)
 
@@ -195,27 +194,36 @@ class TestNoGraph:
         backward(loss)
         assert loss._vjp is not None and all(leaf.grad is not None for leaf in leaves)
 
-    def test_stride2_conv_keeps_no_column_block(self):
+    def test_down_conv_keeps_no_column_block(self):
         # the recorded node's backward rule holds the (9C, positions)
         # column block; built without a graph the node holds no rule, so
         # evaluation frees the block as soon as the op returns
         rng = RNG(7)
         x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
                    for s in ((4, 16, 4, 4), (16, 16, 3, 3), (16,)))
-        recorded = conv2d_3x3(x, w, b, stride=2)
+        recorded = conv2d_3x3(x, w, b, "down")
         assert (16 * 9, 2 * 2 * 4) in [a.shape for a in _closure_arrays(recorded._vjp)]
         with tensor._no_graph():
-            out = conv2d_3x3(x, w, b, stride=2)
+            out = conv2d_3x3(x, w, b, "down")
         assert (out._vjp, out._parents, out.requires_grad) == (None, (), False)
         np.testing.assert_array_equal(out.data, recorded.data)
 
-    def test_stride1_conv_rule_keeps_no_padded_grid(self):
-        # the backward rule pads each tile again, so a recorded graph
-        # holds no padded copy of the batch
+    @pytest.mark.parametrize("out_ch, side", [(16, 2), (1, 4)], ids=["dec.conv1", "dec.conv2"])
+    def test_up_conv_keeps_no_batch_column_block(self, out_ch, side):
+        # at the evaluation batch; the backward rule rebuilds each tile's
+        # columns from x, so a recorded rule holds nothing larger than one
+        # tile's columns, and a node built without a graph holds no rule
         rng = RNG(8)
         x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
-                   for s in ((4, 16, 4, 4), (16, 16, 3, 3), (16,)))
-        assert list(_closure_arrays(conv2d_3x3(x, w, b, stride=1)._vjp)) == []
+                   for s in ((256, 16, side, side), (out_ch, 16, 3, 3), (out_ch,)))
+        tile_cols = tensor.CONV_TILE_ELEMENTS
+        assert 16 * 9 * side * side * 256 > tile_cols  # the batch spans several tiles
+        recorded = conv2d_3x3(x, w, b, "up")
+        assert max(a.size for a in _closure_arrays(recorded._vjp)) <= tile_cols
+        with tensor._no_graph():
+            out = conv2d_3x3(x, w, b, "up")
+        assert (out._vjp, out._parents, out.requires_grad) == (None, (), False)
+        np.testing.assert_array_equal(out.data, recorded.data)
 
 
 class TestStraightThrough:
@@ -368,36 +376,32 @@ class TestGradientsMatchFiniteDifferences:
         build = lambda: mse(gather_rows(table, idx), target)
         _grad_check(build, table)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv2d(self, stride):
-        rng = RNG(10 + stride)
-        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+    @pytest.mark.parametrize("mode, side, out_side", [("up", 3, 6), ("down", 6, 3)],
+                             ids=["up", "down"])
+    def test_conv2d(self, mode, side, out_side):
+        rng = RNG(11 if mode == "up" else 12)
+        x = Tensor(rng.normal(size=(2, 3, side, side)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.5, requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
-        oh = (6 - 1) // stride + 1
-        target = Tensor(rng.normal(size=(2, 4, oh, oh)))
-        build = lambda: mse(conv2d_3x3(x, w, b, stride=stride), target)
+        target = Tensor(rng.normal(size=(2, 4, out_side, out_side)))
+        build = lambda: mse(conv2d_3x3(x, w, b, mode), target)
         _grad_check(build, x, step=1e-5)
         _grad_check(build, w, step=1e-5)
         _grad_check(build, b, step=1e-5)
 
-    def test_conv2d_odd_non_square_stride2(self):
+    @pytest.mark.parametrize("mode, shape, out_shape", [
+        ("down", (7, 5), (4, 3)), ("up", (3, 5), (6, 10)),
+    ], ids=["down", "up"])
+    def test_conv2d_odd_non_square(self, mode, shape, out_shape):
         rng = RNG(12)
-        x = Tensor(rng.normal(size=(2, 2, 7, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 2, *shape)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
-        target = Tensor(rng.normal(size=(2, 3, 4, 3)))
-        build = lambda: mse(conv2d_3x3(x, w, b, stride=2), target)
+        target = Tensor(rng.normal(size=(2, 3, *out_shape)))
+        build = lambda: mse(conv2d_3x3(x, w, b, mode), target)
         _grad_check(build, x, step=1e-5)
         _grad_check(build, w, step=1e-5)
         _grad_check(build, b, step=1e-5)
-
-    def test_upsample2x(self):
-        rng = RNG(13)
-        x = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
-        target = Tensor(rng.normal(size=(2, 2, 6, 6)))
-        build = lambda: mse(upsample2x(x), target)
-        _grad_check(build, x)
 
     def test_relu_away_from_kink(self):
         rng = RNG(14)
@@ -408,46 +412,30 @@ class TestGradientsMatchFiniteDifferences:
         _grad_check(build, x)
 
 
-class TestUpsampleGradient:
-    @staticmethod
-    def _vjp_and_window_sums(shape, dtype, seed):
-        """upsample2x's input gradient, numpy's sum over each 2x2 window of
-        the output gradient, and that sum over the absolute values."""
-        batch, chans, height, width = shape
-        g = RNG(seed).normal(size=(batch, chans, 2 * height, 2 * width)).astype(dtype)
-        (dx,) = upsample2x(Tensor(np.zeros(shape, dtype), requires_grad=True))._vjp(g)
-        windows = lambda a: a.reshape(batch, chans, height, 2, width, 2).sum(axis=(3, 5))
-        return dx, windows(g), windows(np.abs(g))
-
-    @pytest.mark.parametrize("shape", [(64, 16, 2, 2), (64, 16, 4, 4)])
-    def test_same_bytes_as_window_sum_on_conv_decoder_shapes(self, shape):
-        # the two upsamples of a 16-channel conv model on 8x8 images
-        dx, ref, _ = self._vjp_and_window_sums(shape, np.float64, seed=15)
-        assert dx.dtype == ref.dtype and dx.tobytes() == ref.tobytes()
-
-    @given(st.data())
-    @settings(deadline=None, max_examples=100)
-    def test_property_matches_window_sum(self, data):
-        # four terms summed in two orders differ by at most 3 roundings each
-        shape = tuple(data.draw(st.integers(1, 6), label=k) for k in "BCHW")
-        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
-        dx, ref, mag = self._vjp_and_window_sums(shape, dtype, data.draw(st.integers(0, 2**32 - 1)))
-        assert dx.dtype == dtype and dx.shape == shape
-        assert np.all(np.abs(dx - ref) <= 6 * np.finfo(dtype).eps * mag)
+def _reference(x, w, b, mode, g):
+    """``helpers.reference_conv2d_3x3`` in double precision: at stride 2
+    for "down"; for "up" at stride 1 on the ``np.repeat`` upsampled
+    input, its ``dx`` folded back by summing each 2x2 window."""
+    x, w, b, g = (a.astype(np.float64) for a in (x, w, b, g))
+    if mode == "down":
+        return reference_conv2d_3x3(x, w, b, 2, g)
+    batch, chans, height, width = x.shape
+    out, dx, dw, db = reference_conv2d_3x3(np.repeat(np.repeat(x, 2, axis=2), 2, axis=3),
+                                           w, b, 1, g)
+    return out, dx.reshape(batch, chans, height, 2, width, 2).sum(axis=(3, 5)), dw, db
 
 
-def _check_conv_against_reference(x, w, b, g, stride, x_grad):
+def _check_conv_against_reference(x, w, b, g, mode, x_grad):
     """conv2d_3x3's output and gradients against the einsum reference.
 
     Tolerances are relative to the sum of the absolute terms, which
     bounds the rounding of any summation order."""
     dtype = x.dtype
     out = conv2d_3x3(Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True),
-                     Tensor(b, requires_grad=True), stride=stride)
+                     Tensor(b, requires_grad=True), mode)
     grads = out._vjp(g)
-    f64 = lambda *arrays: [a.astype(np.float64) for a in arrays]
-    want = reference_conv2d_3x3(*f64(x, w, b), stride, *f64(g))
-    scale = reference_conv2d_3x3(*f64(abs(x), abs(w), abs(b)), stride, *f64(abs(g)))
+    want = _reference(x, w, b, mode, g)
+    scale = _reference(abs(x), abs(w), abs(b), mode, abs(g))
     rtol = 1e-12 if dtype == np.float64 else 1e-5
     for name, got, ref, mag in zip(("out", "dx", "dw", "db"), (out.data, *grads), want, scale):
         if name == "dx" and not x_grad:
@@ -457,8 +445,11 @@ def _check_conv_against_reference(x, w, b, g, stride, x_grad):
         assert np.all(np.abs(got - ref) <= rtol * mag), name
 
 
-def _conv_operands(rng, batch, chans, out_ch, height, width, stride, dtype):
-    oh, ow = (height - 1) // stride + 1, (width - 1) // stride + 1
+def _conv_operands(rng, batch, chans, out_ch, height, width, mode, dtype):
+    if mode == "down":
+        oh, ow = (height - 1) // 2 + 1, (width - 1) // 2 + 1
+    else:
+        oh, ow = 2 * height, 2 * width
     return tuple(rng.normal(size=s).astype(dtype) for s in
                  ((batch, chans, height, width), (out_ch, chans, 3, 3), (out_ch,),
                   (batch, out_ch, oh, ow)))
@@ -468,32 +459,40 @@ class TestConvMatchesReference:
     @given(st.data())
     @settings(deadline=None, max_examples=200)
     def test_property_matches_einsum_reference(self, data):
-        # the tile budget is set to whole images so that at stride 1 a
+        # the tile budget is set to whole images so that in "up" mode a
         # batch spans several tiles, the last one ragged
         batch, chans, out_ch = (data.draw(st.integers(1, 5), label=k) for k in "BCO")
         height, width = (data.draw(st.integers(1, 9), label=k) for k in "HW")
-        stride = data.draw(st.sampled_from([1, 2]), label="stride")
+        mode = data.draw(st.sampled_from(["down", "up"]), label="mode")
         dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
         x_grad = data.draw(st.booleans(), label="x_requires_grad")
         per_tile = data.draw(st.integers(1, batch), label="images_per_tile")
         rng = RNG(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        x, w, b, g = _conv_operands(rng, batch, chans, out_ch, height, width, stride, dtype)
-        tile = per_tile * max(chans, out_ch) * (height + 2) * (width + 2)
+        x, w, b, g = _conv_operands(rng, batch, chans, out_ch, height, width, mode, dtype)
+        tile = per_tile * chans * 9 * height * width
         with mock.patch.object(tensor, "CONV_TILE_ELEMENTS", tile):
-            _check_conv_against_reference(x, w, b, g, stride, x_grad)
+            _check_conv_against_reference(x, w, b, g, mode, x_grad)
 
     # the four layers of a 16-channel small_conv model on 8x8 images, at
     # the training batch and the module's tile budget: enc.conv1 (its
-    # input needs no gradient), enc.conv2, dec.conv1 and dec.conv2 (a
-    # one-output layer, whose dx takes the copied tap stack)
+    # input needs no gradient), enc.conv2, and the decoder's dec.conv1
+    # and dec.conv2 (a one-output layer), each on the low-resolution grid
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("chans, out_ch, height, width, stride, x_grad", [
-        (1, 16, 8, 8, 2, False), (16, 16, 4, 4, 2, True),
-        (16, 16, 4, 4, 1, True), (16, 1, 8, 8, 1, True),
+    @pytest.mark.parametrize("chans, out_ch, height, width, mode, x_grad", [
+        (1, 16, 8, 8, "down", False), (16, 16, 4, 4, "down", True),
+        (16, 16, 2, 2, "up", True), (16, 1, 4, 4, "up", True),
     ], ids=["enc.conv1", "enc.conv2", "dec.conv1", "dec.conv2"])
-    def test_conv_model_layers(self, chans, out_ch, height, width, stride, x_grad, dtype):
-        x, w, b, g = _conv_operands(RNG(16), 64, chans, out_ch, height, width, stride, dtype)
-        _check_conv_against_reference(x, w, b, g, stride, x_grad)
+    def test_conv_model_layers(self, chans, out_ch, height, width, mode, x_grad, dtype):
+        x, w, b, g = _conv_operands(RNG(16), 64, chans, out_ch, height, width, mode, dtype)
+        _check_conv_against_reference(x, w, b, g, mode, x_grad)
+
+    # 64 images at 7 a tile: nine full tiles and a ragged one of 1
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_up_ragged_last_tile(self, x_grad, dtype):
+        x, w, b, g = _conv_operands(RNG(17), 64, 3, 2, 3, 5, "up", dtype)
+        with mock.patch.object(tensor, "CONV_TILE_ELEMENTS", 7 * 3 * 9 * 3 * 5):
+            _check_conv_against_reference(x, w, b, g, "up", x_grad)
 
 
 class TestShapeErrors:
@@ -513,10 +512,11 @@ class TestShapeErrors:
         with pytest.raises(DimensionError):
             bmm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
-    def test_conv_stride(self):
+    @pytest.mark.parametrize("mode", [1, 2, "same", None])
+    def test_conv_mode(self, mode):
         x, w, b = Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1))
         with pytest.raises(DimensionError):
-            conv2d_3x3(x, w, b, stride=3)
+            conv2d_3x3(x, w, b, mode)
 
     def test_gather_out_of_range(self):
         with pytest.raises(ContractError):

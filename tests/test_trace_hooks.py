@@ -59,3 +59,19 @@ def test_fixed_quantizer_records_a_quantize_span(workload):
     recorded = {span.name for span in tracer.spans}
     assert "vq.quantize" in recorded
     assert "adaptive.adaptive_forward" not in recorded
+
+
+def test_every_conv_layer_records_a_conv_span(workload):
+    # perfbench's per-layer conv figures come from the spans of the name
+    # model.conv2d_3x3; a layer that called the op under another name
+    # would drop out of them without failing
+    source, config = workload.make_inputs("conv-w64", 11, 0)
+    tracer = workload.Tracer()
+    workload.install_layer_wrappers(tracer)
+    try:
+        experiments.train_run(config, data.synth_dataset(source), 2)
+    finally:
+        tracer.unpatch()
+    steps = [span.step for span in tracer.spans
+             if span.name == "tensor.conv2d_3x3" and span.step is not None]
+    assert sorted(steps) == [0] * 4 + [1] * 4
