@@ -39,7 +39,6 @@ from .model import ModelConfig
 from .persist import (
     TRAIN_DEFAULTS,
     RunReport,
-    load_checkpoint,
     read_checkpoint,
     read_json,
     resolve_run_config,
@@ -106,10 +105,14 @@ def _cmd_train(args) -> int:
     state = None
     steps = train["steps"]
     if args.resume is not None:
-        state = load_checkpoint(args.resume)
+        state, source = read_checkpoint(args.resume)
         if state.config != config:
             raise ConfigError(
                 f"checkpoint {args.resume} was trained with a different model config"
+            )
+        if source is not None and source != DatasetSource.from_dict(resolved["dataset"]):
+            raise ConfigError(
+                f"checkpoint {args.resume} was trained on a different dataset recipe"
             )
         steps = train["steps"] - state.step
         print(f"resumed at step {state.step}; {max(steps, 0)} steps remaining")

@@ -182,7 +182,9 @@ def _cut_payloads(data: bytes) -> tuple[bytes, list]:
     return b"".join(kept), payloads
 
 
-CHECKPOINT_FIELDS = {"config": {}, "step": 0, "adam_t": 0}
+# the keys of a checkpoint besides "arrays", whose entries are checked one by one
+CHECKPOINT_FIELDS = {"format_version": 0, "config": {}, "step": 0, "adam_t": 0}
+RUN_FIELDS = {"model": {}, "dataset": {}}
 ARRAY_FIELDS = {"shape": (0,), "dtype": "", "b64": ""}
 
 
@@ -215,7 +217,9 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
     """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``,
     with the dataset recipe saved beside it (None if there is none). Its
     array names, shapes and dtypes must be those of the state its model
-    config builds; each payload is decoded into its array.
+    config builds; each payload is decoded into its array. A key that
+    ``save_checkpoint`` does not write, at the top of the document or in
+    its config, is rejected.
 
     The file is read once, as bytes, and only the text around the payloads
     is parsed as JSON: the k-th payload cut out of it, in file order, is
@@ -235,12 +239,15 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
         raise CheckpointError(f"{path}: format version {version!r} is not supported "
                               f"(reader expects {FORMAT_VERSION})")
     try:
-        check_config("checkpoint", {k: doc[k] for k in CHECKPOINT_FIELDS}, CHECKPOINT_FIELDS)
+        check_config("checkpoint", {k: v for k, v in doc.items() if k != "arrays"},
+                     CHECKPOINT_FIELDS)
         for key in ("step", "adam_t"):
             if doc[key] < 0:
                 raise CheckpointError(f"{path}: checkpoint field {key} must be nonnegative, "
                                       f"got {doc[key]}")
-        config = doc["config"]
+        config = doc["config"]  # a null dataset: none was saved
+        check_config("checkpoint run", {k: v for k, v in config.items() if v is not None},
+                     RUN_FIELDS)
         state = _build_state(ModelConfig.from_dict(config["model"]), _NoDraws())
         dataset = (None if config.get("dataset") is None
                    else DatasetSource.from_dict(config["dataset"]))

@@ -424,8 +424,7 @@ def gather_rows(matrix: Tensor, indices) -> Tensor:
 # Elements of one tile's (9C, positions) column block in "up" mode: 512 KB
 # in double precision. At 1 << 15 and 1 << 18 the conv-w64 benchmark
 # evaluated no faster, and 1 << 18 and an untiled block read a higher
-# peak RSS. "down" builds one small block for the whole batch and does
-# not tile.
+# peak RSS. "down" ignores it: one small block for the whole batch.
 CONV_TILE_ELEMENTS = 1 << 16
 
 # Per axis and output phase a (rows of the first index), which taps of a
@@ -437,8 +436,10 @@ _PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]],
                         [[0, 0, 0], [1, 1, 0], [0, 0, 1]]])
 # (36, 9) 0/1 map from a kernel's taps (column 3t + s) to the four phase
 # kernels on the low-resolution grid (row 9(2a + c) + 3n + m: phase (a, c),
-# neighbour (i + n - 1, j + m - 1)).
+# neighbour (i + n - 1, j + m - 1)). Down's map is the identity: one phase
+# whose neighbour (n, m) is tap (n, m).
 _UP_TAPS = np.einsum("ant,cms->acnmts", _PHASE_TAPS, _PHASE_TAPS).reshape(36, 9)
+_DOWN_TAPS = np.eye(9)
 
 
 def _windows(step: int, oh: int, ow: int, height: int, width: int) -> list:
@@ -454,10 +455,10 @@ def _windows(step: int, oh: int, ow: int, height: int, width: int) -> list:
 
 
 def _im2col(x: np.ndarray, windows: list, oh: int, ow: int) -> np.ndarray:
-    """(9C, oh*ow*B) columns of a (B, C, H, W) input at the output
-    positions: rows in ``c*9 + k`` order, columns in (row, column, image)
-    order so that each copy runs along the batch, zero where a tap falls
-    in the padding."""
+    """(9C, oh*ow*B) columns of a (B, C, H, W) input at the positions of
+    an (oh, ow) grid: rows in ``c*9 + k`` order, columns in (row, column,
+    image) order so that each copy runs along the batch, zero where a tap
+    falls in the padding."""
     batch, chans = x.shape[:2]
     x_t = np.ascontiguousarray(x.transpose(1, 2, 3, 0))  # (C, H, W, B)
     cols = np.zeros((chans, 9, oh, ow, batch), dtype=x_t.dtype)
@@ -483,31 +484,28 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mode: str) -> Tensor:
     ``x`` is (B, C, H, W), ``w`` is (O, C, 3, 3), ``b`` is (O,). The
     output is (B, O, ceil(H/2), ceil(W/2)) down and (B, O, 2H, 2W) up.
 
-    Both modes are one GEMM on im2col columns taken at the positions of
-    a low-resolution grid, from nine strided views of the
-    (C, H, W, B)-transposed input (``_im2col``): rows in ``c*9 + k``
-    order, the batch innermost. The output gradient times the columns'
-    transpose gives the kernel gradient, and ``dx`` is the col2im
-    (``_col2im``) of the transposed kernel times the output gradient.
+    Both modes run one path. A 0/1 tap map builds from ``w`` the kernel,
+    P^2 phase kernels stacked into one (P^2 O, 9C) matrix, whose GEMM on
+    im2col columns taken on a grid of ``x`` (``_im2col``: nine strided
+    views of the (C, H, W, B)-transposed input, rows in ``c*9 + k`` order,
+    the batch innermost) gives P x P output pixels per grid point,
+    interleaved into the output. The output gradient times the columns'
+    transpose is the kernel's gradient, folded back through the tap map,
+    and ``dx`` is the col2im (``_col2im``) of the transposed kernel times
+    the output gradient, skipped (None) when ``x`` needs no gradient. A
+    mode fixes four things:
 
-    Down, the columns sit at the output positions and the kernel is
-    ``w.reshape(O, 9C)``. The block holds one column per output
-    position, so the backward rule keeps it; under ``_no_graph`` there
-    is no backward rule and it is freed as soon as the op returns.
-
-    Up, output pixel (2i + a, 2j + c) reads only the 3x3 low-resolution
-    neighbourhood of (i, j), so the op never builds the upsampled input:
-    the columns sit at the input positions and the kernel is the four
-    phase kernels (a, c) stacked, (4O, 9C), built from ``w`` through the
-    0/1 tap map ``_UP_TAPS`` (Shi et al. 2016, arXiv 1609.05158). Its
-    product is interleaved into the (2H, 2W) output, and the kernel
-    gradient is folded back through the map's transpose. The batch goes
-    in tiles of whole images, each tile's columns holding at most about
-    ``CONV_TILE_ELEMENTS`` elements, and the backward rule rebuilds each
-    tile's columns from ``x``, so neither the graph nor evaluation holds
-    a batch's column block.
-
-    ``dx`` is skipped (None) when ``x`` does not require a gradient.
+    - the grid's step: 2 down, the output positions; 1 up, the input's
+      own, as output (2i + a, 2j + c) reads only the 3x3 neighbourhood of
+      (i, j), so the upsampled input is never built;
+    - the phases P per axis: 1 down, 2 up;
+    - the tap map: the 9x9 identity down, whose products are exact;
+      ``_UP_TAPS`` up (Shi et al. 2016, arXiv 1609.05158);
+    - the tiles: down, the whole batch, whose one small column block the
+      backward rule keeps (none under ``_no_graph``, which keeps no rule);
+      up, tiles of whole images of at most about ``CONV_TILE_ELEMENTS``
+      column elements, rebuilt from ``x`` by the backward rule, so
+      neither the graph nor evaluation holds a batch's column block.
     """
     if mode not in ("down", "up"):
         raise DimensionError(f"conv2d_3x3 mode must be 'down' or 'up', got {mode!r}")
@@ -522,46 +520,43 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mode: str) -> Tensor:
             f"conv2d_3x3: x {x.data.shape}, w {w.data.shape}, b {b.data.shape}"
         )
     if mode == "down":
-        oh, ow = (height - 1) // 2 + 1, (width - 1) // 2 + 1
-        windows = _windows(2, oh, ow, height, width)
-        w_cols = w.data.reshape(out_ch, chans * 9)
-        cols = _im2col(x.data, windows, oh, ow)
-        out = (w_cols @ cols).reshape(out_ch, oh, ow, batch).transpose(3, 0, 1, 2)
-        out = np.ascontiguousarray(out)
+        step, phases, taps, keep = 2, 1, _DOWN_TAPS, True
+        tiles = [slice(0, batch)]
     else:
-        windows = _windows(1, height, width, height, width)
-        taps = _UP_TAPS.astype(w.dtype)
-        w_all = (w.data.reshape(out_ch * chans, 9) @ taps.T).reshape(out_ch, chans, 4, 9)
-        w_all = w_all.transpose(2, 0, 1, 3).reshape(4 * out_ch, chans * 9)
-        step = max(1, CONV_TILE_ELEMENTS // (chans * 9 * height * width))
-        tiles = [slice(b0, min(b0 + step, batch)) for b0 in range(0, batch, step)]
-        out = np.empty((batch, out_ch, 2 * height, 2 * width), dtype=x.dtype)
-        for tile in tiles:
-            n = tile.stop - tile.start
-            resp = w_all @ _im2col(x.data[tile], windows, height, width)
-            out[tile].reshape(n, out_ch, height, 2, width, 2)[...] = (
-                resp.reshape(2, 2, out_ch, height, width, n).transpose(5, 2, 3, 0, 4, 1))
+        step, phases, taps, keep = 1, 2, _UP_TAPS, False
+        per_tile = max(1, CONV_TILE_ELEMENTS // (chans * 9 * height * width))
+        tiles = [slice(b0, min(b0 + per_tile, batch)) for b0 in range(0, batch, per_tile)]
+    gh, gw = (height - 1) // step + 1, (width - 1) // step + 1
+    windows = _windows(step, gh, gw, height, width)
+    taps = taps.astype(w.dtype)
+    kernel = (w.data.reshape(out_ch * chans, 9) @ taps.T).reshape(out_ch, chans, -1, 9)
+    kernel = kernel.transpose(2, 0, 1, 3).reshape(-1, chans * 9)
+    kept = _im2col(x.data, windows, gh, gw) if keep else None
+
+    def columns(tile):
+        return _im2col(x.data[tile], windows, gh, gw) if kept is None else kept
+
+    out = np.empty((batch, out_ch, phases * gh, phases * gw), dtype=x.dtype)
+    for tile in tiles:
+        n = tile.stop - tile.start
+        resp = kernel @ columns(tile)
+        out[tile].reshape(n, out_ch, gh, phases, gw, phases)[...] = (
+            resp.reshape(phases, phases, out_ch, gh, gw, n).transpose(5, 2, 3, 0, 4, 1))
     out += b.data[:, None, None]
 
     def vjp(g):
         dx = np.empty_like(x.data) if x.requires_grad else None
-        if mode == "down":
-            gmat = g.transpose(1, 2, 3, 0).reshape(out_ch, oh * ow * batch)
-            if dx is not None:
-                dcols = (w_cols.T @ gmat).reshape(chans, 9, oh, ow, batch)
-                dx[...] = _col2im(dcols, windows, (chans, height, width, batch))
-            return dx, (gmat @ cols.T).reshape(w.data.shape), g.sum(axis=(0, 2, 3))
-        dw_all = np.zeros(w_all.shape, dtype=w.dtype)
+        dkernel = np.zeros(kernel.shape, dtype=w.dtype)
         for tile in tiles:
             n = tile.stop - tile.start
-            gmat = g[tile].reshape(n, out_ch, height, 2, width, 2).transpose(3, 5, 1, 2, 4, 0)
-            gmat = gmat.reshape(4 * out_ch, height * width * n)
-            dw_all += gmat @ _im2col(x.data[tile], windows, height, width).T
+            gmat = g[tile].reshape(n, out_ch, gh, phases, gw, phases).transpose(3, 5, 1, 2, 4, 0)
+            gmat = gmat.reshape(-1, gh * gw * n)
+            dkernel += gmat @ columns(tile).T
             if dx is not None:
-                dcols = (w_all.T @ gmat).reshape(chans, 9, height, width, n)
+                dcols = (kernel.T @ gmat).reshape(chans, 9, gh, gw, n)
                 dx[tile] = _col2im(dcols, windows, (chans, height, width, n))
-        dw_all = dw_all.reshape(4, out_ch, chans, 9).transpose(1, 2, 0, 3)
-        dw = dw_all.reshape(out_ch * chans, 36) @ taps
+        dw = dkernel.reshape(-1, out_ch, chans, 9).transpose(1, 2, 0, 3)
+        dw = dw.reshape(out_ch * chans, -1) @ taps
         return dx, dw.reshape(w.data.shape), g.sum(axis=(0, 2, 3))
 
     return _node("conv2d_3x3", out, (x, w, b), vjp)

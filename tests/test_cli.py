@@ -125,6 +125,41 @@ class TestTrain:
                        "--resume", str(out1 / "checkpoint.json")])
         assert rc == 1
 
+    def test_resume_rejects_other_dataset_recipe(self, tmp_path, run_config, capsys):
+        # four steps on one mixture may not go on for four more on another
+        raw = json.loads(run_config.read_text())
+        raw["train"]["steps"] = 4
+        run_config.write_text(json.dumps(raw))
+        first = tmp_path / "first"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(first)]) == 0
+        raw["dataset"].update(seed=5, clusters=7)
+        raw["train"]["steps"] = 8
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(raw))
+        checkpoint, out = first / "checkpoint.json", tmp_path / "out"
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(other), "--out", str(out),
+                         "--resume", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert str(checkpoint) in err and "dataset recipe" in err
+        assert list(out.glob("*")) == []
+
+    def test_resume_from_checkpoint_without_recipe(self, tmp_path, run_config):
+        first = tmp_path / "first"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(first)]) == 0
+        doc = json.loads((first / "checkpoint.json").read_text())
+        doc["config"]["dataset"] = None
+        checkpoint = tmp_path / "no_recipe.json"
+        checkpoint.write_text(json.dumps(doc))
+        longer = json.loads(run_config.read_text())
+        longer["train"]["steps"] = 20
+        run_config.write_text(json.dumps(longer))
+        out = tmp_path / "second"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out),
+                         "--resume", str(checkpoint)]) == 0
+        assert json.loads((out / "checkpoint.json").read_text())["step"] == 20
+
     def test_config_that_is_not_text(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff\xfe\x00")
@@ -736,6 +771,20 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "repeats" in err
+
+    def test_unknown_config_key_exits_one_naming_it(self, tmp_path, run_config, capsys):
+        first = tmp_path / "first"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(first)]) == 0
+        doc = json.loads((first / "checkpoint.json").read_text())
+        doc["config"]["surprise"] = {"x": 1}
+        path, out = tmp_path / "surprise.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out),
+                         "--resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and len(err.strip().splitlines()) == 1
+        assert "surprise" in err and list(out.glob("*")) == []
 
     def test_version_one_file_is_rejected(self, tmp_path, run_config, capsys):
         """Files of formats 1 and 2 are rejected by their version number."""

@@ -327,6 +327,25 @@ class TestCheckpointErrors:
             load_checkpoint(path)
         assert "codebooks[1].ema_embed_sum" in str(err.value)
 
+    @pytest.mark.parametrize("where", [[], ["config"]], ids=["top-level", "config"])
+    def test_unknown_key_rejected(self, tmp_path, where):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(), path, dataset=DatasetSource(seed=4))
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in where:
+            node = node[key]
+        node["surprise"] = {"x": 1}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="surprise"):
+            read_checkpoint(path)
+
+    def test_null_dataset_loads(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_state(), path)
+        assert json.loads(path.read_text())["config"]["dataset"] is None
+        assert read_checkpoint(path)[1] is None
+
 
 def saved_bytes(tmp_path) -> bytes:
     """The bytes of an adaptive model's checkpoint: many arrays, one recipe."""

@@ -1,6 +1,7 @@
 """Autodiff engine: values, gradients against finite differences,
 graph structure, and the straight-through/detach semantics."""
 
+import types
 from unittest import mock
 
 import numpy as np
@@ -161,15 +162,18 @@ def _small_loss():
 
 
 def _closure_arrays(fn):
-    """The arrays that closure ``fn`` keeps alive; cells of variables
-    never assigned on the path taken are empty and skipped."""
-    for cell in fn.__closure__:
+    """The arrays that closure ``fn`` keeps alive, directly or through the
+    functions it keeps; cells of variables never assigned on the path
+    taken are empty and skipped."""
+    for cell in fn.__closure__ or ():
         try:
             value = cell.cell_contents
         except ValueError:
             continue
         if isinstance(value, np.ndarray):
             yield value
+        elif isinstance(value, types.FunctionType):
+            yield from _closure_arrays(value)
 
 
 class TestNoGraph:
@@ -194,7 +198,7 @@ class TestNoGraph:
         backward(loss)
         assert loss._vjp is not None and all(leaf.grad is not None for leaf in leaves)
 
-    def test_down_conv_keeps_no_column_block(self):
+    def test_down_conv_rule_keeps_its_column_block(self):
         # the recorded node's backward rule holds the (9C, positions)
         # column block; built without a graph the node holds no rule, so
         # evaluation frees the block as soon as the op returns
@@ -205,6 +209,23 @@ class TestNoGraph:
         assert (16 * 9, 2 * 2 * 4) in [a.shape for a in _closure_arrays(recorded._vjp)]
         with tensor._no_graph():
             out = conv2d_3x3(x, w, b, "down")
+        assert (out._vjp, out._parents, out.requires_grad) == (None, (), False)
+        np.testing.assert_array_equal(out.data, recorded.data)
+
+    def test_down_conv_ignores_tile_budget(self):
+        # at the evaluation batch and a budget of one element, down still
+        # builds one block for the whole batch: the recorded rule keeps
+        # exactly that block and no other column block, a node built
+        # without a graph keeps none, and the output is the same
+        rng = RNG(9)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((256, 16, 4, 4), (16, 16, 3, 3), (16,)))
+        with mock.patch.object(tensor, "CONV_TILE_ELEMENTS", 1):
+            recorded = conv2d_3x3(x, w, b, "down")
+            with tensor._no_graph():
+                out = conv2d_3x3(x, w, b, "down")
+        blocks = [a.shape for a in _closure_arrays(recorded._vjp) if a.shape[0] == 16 * 9]
+        assert blocks == [(16 * 9, 2 * 2 * 256)]
         assert (out._vjp, out._parents, out.requires_grad) == (None, (), False)
         np.testing.assert_array_equal(out.data, recorded.data)
 
