@@ -25,8 +25,9 @@ print(f"trained {state.step} steps; "
 with tempfile.TemporaryDirectory(prefix="aqvq_demo_") as tmp:
     workdir = Path(tmp)
 
-    # Checkpoints store each array's exact bytes (base64 of its little-endian
-    # bytes), so reloading is exact.
+    # Checkpoints (format 4) store each array's exact bytes: one hex payload
+    # of every array's little-endian bytes ends the JSON document, so
+    # reloading is exact.
     ckpt = workdir / "checkpoint.json"
     save_checkpoint(state, ckpt)
     reloaded = load_checkpoint(ckpt)

@@ -3,20 +3,23 @@
 Two synthetic generators (a Gaussian mixture of cluster centers and a
 bank of procedural 8x8 image patterns) plus a reader for the big-endian
 IDX image/label format. Everything is deterministic per seed.
-``read_bytes`` is the one reader of input files: IDX files here, and JSON
-documents and checkpoints in ``persist``.
+``open_input`` is the one way input files are opened: ``read_bytes`` reads
+IDX files here and JSON documents in ``persist`` through it, and
+``persist`` streams checkpoints from it.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, check_addressable, check_config
 
-__all__ = ["DatasetSource", "Dataset", "synth_dataset", "load_idx", "make_dataset", "read_bytes"]
+__all__ = ["DatasetSource", "Dataset", "synth_dataset", "load_idx", "make_dataset",
+           "open_input", "read_bytes"]
 
 IDX_UBYTE = 0x08
 
@@ -144,16 +147,24 @@ def synth_dataset(source: DatasetSource) -> Dataset:
     return _split(data, None, source)
 
 
-def read_bytes(path, kind: str) -> bytes:
-    """The bytes of input file ``path``; a ``kind`` file that is missing,
-    a directory or unreadable is a ConfigError."""
+@contextmanager
+def open_input(path, kind: str):
+    """Open input file ``path`` for reading bytes; a ``kind`` file that is
+    missing, a directory or unreadable is a ConfigError."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError as err:
         raise ConfigError(f"{kind} not found: {path}") from err
     except (IsADirectoryError, PermissionError) as err:
         raise ConfigError(f"cannot read {kind} {path}: {err.strerror}") from err
+    with fh:
+        yield fh
+
+
+def read_bytes(path, kind: str) -> bytes:
+    """The bytes of input file ``path``, opened with ``open_input``."""
+    with open_input(path, kind) as fh:
+        return fh.read()
 
 
 def _read_idx(path: str) -> np.ndarray:

@@ -1,31 +1,32 @@
 """Checkpoints, run reports, and resolved run configurations.
 
-Checkpoints (format 3) are JSON documents holding one map of named
-arrays, each stored as base64 of its C-order little-endian bytes, so
-save/load round-trips are bit-exact on any host and a double save is
-byte-identical; files of earlier formats (version 2 stored one hex
-string per float) are rejected. A checkpoint is written as the indented
-JSON of its document with empty payloads, each array's base64 written
-into its field as it is (base64 needs no escaping), and it replaces its
-target atomically. The reader does the inverse: it reads the file once
-as bytes, with ``data.read_bytes`` like every input file, cuts every
-"b64" string out as a view of them, and parses only the few kilobytes
-of JSON left, with ``_parse_json`` like every JSON input (a repeated key
-is an error). It builds the state with ``init_state``'s constructors
-from a stand-in generator that draws zeros, since every drawn array is
-then overwritten, checks the k-th stored entry against the array of its
-name and decodes the k-th payload straight into it. Run
-reports collect per-step metrics and a summary;
-they serialize to JSON and to plot-ready CSV with identical values, and
-``from_json`` rebuilds one through ``add_record``, the builder.
-``write_csv`` and ``write_json`` are the one table writer and the one
-document writer that checkpoints, reports, sweeps and ablations go
-through; both replace their target atomically.
+Checkpoints (format 4) are JSON documents: the config, ``step``,
+``adam_t``, an ``arrays`` map from each array's name to its shape and
+dtype, and last one ``payload`` string, the lowercase hex of every
+array's C-order little-endian bytes in ``arrays`` order. Save/load
+round-trips are bit-exact on any host and a double save is
+byte-identical; files of earlier formats are rejected by their version
+number. A checkpoint is written as the indented JSON of its document up
+to the payload's opening quote, then each array's hex as it is (hex needs
+no escaping), and it replaces its target atomically. The reader streams
+the file, opened with ``data.open_input`` like every input file: it
+parses only the text before the payload, with ``_parse_json`` like every
+JSON input (a repeated key is an error), builds the state with
+``init_state``'s constructors from a stand-in generator that draws zeros,
+since every drawn array is then overwritten, and decodes each stored
+entry's share of the payload straight into the array of its name.
+
+Run reports collect per-step metrics and a summary; they serialize to
+JSON and to plot-ready CSV with identical values, and ``from_json``
+rebuilds one through ``add_record``, the builder. ``write_csv`` and
+``write_json`` are the one table writer and the one document writer that
+reports, sweeps and ablations go through; they and checkpoints replace
+their target atomically through one writer.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import hashlib
 import json
 import operator
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetSource, read_bytes
+from .data import DatasetSource, open_input, read_bytes
 from .errors import CheckpointError, ConfigError, ContractError, FormatError, check_config
 from .model import EVAL_BATCH_SIZE, ModelConfig, TrainState, _build_state
 
@@ -52,7 +53,7 @@ __all__ = [
     "write_json",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 TRAIN_DEFAULTS = {
     "steps": 2000,
@@ -61,12 +62,6 @@ TRAIN_DEFAULTS = {
     "probe_size": 64,
     "eval_batch_size": EVAL_BATCH_SIZE,
 }
-
-
-def _payload(arr: np.ndarray) -> str:
-    """Base64 of ``arr``'s C-order little-endian bytes."""
-    little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    return base64.b64encode(little.tobytes()).decode("ascii")
 
 
 def _state_arrays(state: TrainState) -> dict:
@@ -88,10 +83,10 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
     """Write ``state`` to ``path`` as a versioned, bit-exact JSON document,
     replacing ``path`` atomically.
 
-    The text around the payloads is ``json.dumps(doc, indent=1)`` of the
-    document with every payload empty; each array's base64 is written into
-    its empty field as it is, since base64 never needs JSON escaping. The
-    file is byte for byte what ``write_json`` writes for the full document.
+    The text is ``json.dumps(doc, indent=1)`` of the document with an empty
+    payload, the last value; each array's hex is written into it as it is,
+    since hex never needs JSON escaping. The file is byte for byte what
+    ``write_json`` writes for the full document.
     """
     arrays = _state_arrays(state)
     doc = {
@@ -102,24 +97,19 @@ def save_checkpoint(state: TrainState, path, dataset: DatasetSource | None = Non
         },
         "step": state.step,
         "adam_t": state.adam_t,
-        "arrays": {name: {"shape": list(arr.shape), "dtype": str(arr.dtype), "b64": ""}
+        "arrays": {name: {"shape": list(arr.shape), "dtype": str(arr.dtype)}
                    for name, arr in arrays.items()},
+        "payload": "",
     }
-    # Only the arrays hold a "b64" field, and a quote inside any string of
-    # the config is escaped, so the split cuts the text at the arrays alone,
-    # in their order.
-    pieces = json.dumps(doc, indent=1).split('"b64": ""')
+    head, _, tail = json.dumps(doc, indent=1).rpartition('""')
 
-    def write(fh):
-        fh.write(pieces[0])
-        for arr, piece in zip(arrays.values(), pieces[1:], strict=True):
-            fh.write('"b64": "')
-            fh.write(_payload(arr))
-            fh.write('"')
-            fh.write(piece)
-        fh.write("\n")
+    def chunks():
+        yield f'{head}"'.encode("utf-8")
+        for arr in arrays.values():
+            yield binascii.b2a_hex(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")))
+        yield f'"{tail}\n'.encode("utf-8")
 
-    _write_atomically(path, write)
+    _write_atomically(path, chunks())
 
 
 def read_json(path, kind: str):
@@ -158,50 +148,68 @@ def _unique_keys(pairs: list) -> dict:
     return dict(pairs)
 
 
-# the start of a "b64" key's string value: a payload runs from there to the next quote
-PAYLOAD_START = re.compile(rb'"b64"[ \t\n\r]*:[ \t\n\r]*"')
-
-
-def _cut_payloads(data: bytes) -> tuple[bytes, list]:
-    """Cut every payload out of a checkpoint's text: each string value of a
-    "b64" key becomes ``""``. Returns the text left and the payloads cut,
-    in file order, as views of ``data``."""
-    view = memoryview(data)
-    kept, payloads = [], []
-    copied = 0
-    found = PAYLOAD_START.search(data)
-    while found:
-        end = data.find(b'"', found.end())
-        if end < 0:
-            break
-        kept.append(view[copied:found.end()])
-        payloads.append(view[found.end():end])
-        copied = end
-        found = PAYLOAD_START.search(data, end + 1)
-    kept.append(view[copied:])
-    return b"".join(kept), payloads
-
+# the payload's key and opening quote: the document's text before them is
+# parsed as JSON, and the payload is streamed from after them
+PAYLOAD_KEY = re.compile(rb'"payload"[ \t\n\r]*:[ \t\n\r]*"')
+# what follows the payload: its closing quote and the document's closing brace
+DOCUMENT_END = re.compile(rb'"[ \t\n\r]*}')
+READ_CHUNK = 1 << 16
 
 # the keys of a checkpoint besides "arrays", whose entries are checked one by one
-CHECKPOINT_FIELDS = {"format_version": 0, "config": {}, "step": 0, "adam_t": 0}
+CHECKPOINT_FIELDS = {"format_version": 0, "config": {}, "step": 0, "adam_t": 0, "payload": ""}
 RUN_FIELDS = {"model": {}, "dataset": {}}
-ARRAY_FIELDS = {"shape": (0,), "dtype": "", "b64": ""}
+ARRAY_FIELDS = {"shape": (0,), "dtype": ""}
 
 
-def _load_array(path, name: str, entry, arr: np.ndarray, payload) -> None:
-    """Decode ``payload``, the bytes cut out of the file for entry ``name``,
-    straight into ``arr``, the state's array of that name: the entry's
-    shape and dtype and the payload's byte count must be ``arr``'s."""
-    if entry["shape"] != list(arr.shape) or arr.dtype != entry["dtype"]:
-        raise CheckpointError(f"{path}: {name} does not have the model's shape "
-                              f"{list(arr.shape)} and dtype {arr.dtype}")
-    try:
-        raw = base64.b64decode(payload, validate=True)
-        if len(raw) != arr.nbytes:
-            raise ValueError(f"{len(raw)} bytes where its shape and dtype need {arr.nbytes}")
-    except ValueError as err:  # not ASCII, not base64 (binascii.Error), or the wrong byte count
-        raise CheckpointError(f"{path}: {name} has a bad payload: {err}") from err
-    arr[...] = np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape)
+def _read_header(fh) -> tuple[bytes, bytes | None]:
+    """Read ``fh`` in chunks up to the payload's opening quote. Returns the
+    text up to it and the bytes read after it, or the whole file and None
+    if it has no payload key."""
+    head = bytearray()
+    found = None
+    while found is None:
+        chunk = fh.read(READ_CHUNK)
+        if not chunk:
+            return bytes(head), None
+        # a key cut by this chunk's start begins at the last quote before
+        # it, or 8 bytes earlier (then that quote closes "payload")
+        quote = head.rfind(b'"')
+        start = max(0, quote - 8) if quote >= 0 else len(head)
+        head += chunk
+        found = PAYLOAD_KEY.search(head, start)
+    return bytes(head[:found.end()]), bytes(head[found.end():])
+
+
+def _load_payload(path, fh, read: bytes, stored: dict, arrays: dict) -> None:
+    """Decode the payload, ``read`` and then the rest of ``fh``, into the
+    state's ``arrays``: each ``stored`` entry, in document order, takes the
+    hex of its array's bytes; then the document must end."""
+    read = memoryview(read)
+    for name, entry in stored.items():
+        arr = arrays[name]
+        if entry["shape"] != list(arr.shape) or arr.dtype != entry["dtype"]:
+            raise CheckpointError(f"{path}: {name} does not have the model's shape "
+                                  f"{list(arr.shape)} and dtype {arr.dtype}")
+        need = 2 * arr.nbytes
+        text, read = bytes(read[:need]), read[need:]
+        text += fh.read(need - len(text))
+        if len(text) < need and b'"' not in text:
+            raise CheckpointError(f"{path}: the file ends inside the payload, in {name}")
+        try:
+            raw = binascii.a2b_hex(text)
+        except ValueError as err:  # binascii.Error: a non-hex digit, a quote or an escape
+            if b'"' in text and b"\\" not in text:
+                raise CheckpointError(f"{path}: the payload ends inside {name}") from err
+            raise CheckpointError(f"{path}: {name} has a bad payload: {err}") from err
+        arr[...] = np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape)
+    rest = bytes(read) + fh.read()
+    end = DOCUMENT_END.match(rest)
+    if not rest.startswith(b'"'):
+        raise CheckpointError(f"{path}: the payload runs past the hex of the arrays' bytes")
+    if end is None:
+        raise CheckpointError(f"{path}: the payload is not the document's last value")
+    if rest[end.end():].strip(b" \t\n\r"):
+        raise CheckpointError(f"{path}: bytes follow the document's closing brace")
 
 
 class _NoDraws:
@@ -217,59 +225,51 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
     """Rebuild a TrainState from a checkpoint written by ``save_checkpoint``,
     with the dataset recipe saved beside it (None if there is none). Its
     array names, shapes and dtypes must be those of the state its model
-    config builds; each payload is decoded into its array. A key that
+    config builds; the payload is decoded into those arrays. A key that
     ``save_checkpoint`` does not write, at the top of the document or in
-    its config, is rejected.
+    its config, is rejected, and so is any text after the payload but the
+    document's end.
 
-    The file is read once, as bytes, and only the text around the payloads
-    is parsed as JSON: the k-th payload cut out of it, in file order, is
-    decoded into the k-th stored array, in document order.
+    The file is streamed once: only the text before the payload is parsed
+    as JSON, and each stored array's share of the payload, in document
+    order, is read and decoded straight into the array of its name.
     """
-    data = read_bytes(path, "checkpoint")
-    text, payloads = _cut_payloads(data)
-    try:
-        doc = _parse_json(path, text)
-    except FormatError as err:
-        # the cut shortens lines, so name the place of the error in the whole file;
-        # if the whole file parses, the cut ended a payload at a quote escaped in it
-        _parse_json(path, data)
-        raise CheckpointError(f"{path}: a \"b64\" payload holds an escaped quote") from err
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: format version {version!r} is not supported "
-                              f"(reader expects {FORMAT_VERSION})")
-    try:
-        check_config("checkpoint", {k: v for k, v in doc.items() if k != "arrays"},
-                     CHECKPOINT_FIELDS)
-        for key in ("step", "adam_t"):
-            if doc[key] < 0:
-                raise CheckpointError(f"{path}: checkpoint field {key} must be nonnegative, "
-                                      f"got {doc[key]}")
-        config = doc["config"]  # a null dataset: none was saved
-        check_config("checkpoint run", {k: v for k, v in config.items() if v is not None},
-                     RUN_FIELDS)
-        state = _build_state(ModelConfig.from_dict(config["model"]), _NoDraws())
-        dataset = (None if config.get("dataset") is None
-                   else DatasetSource.from_dict(config["dataset"]))
-        stored = doc["arrays"] if isinstance(doc["arrays"], dict) else {}
-        arrays = _state_arrays(state)
-        if set(stored) != set(arrays):
-            raise CheckpointError(f"{path}: arrays {sorted(set(stored) ^ set(arrays))} "
-                                  "do not match the model")
-        for name, entry in stored.items():  # each "b64" string is left empty by the cut
-            if check_config(name, entry, ARRAY_FIELDS).get("b64") != "":
-                raise CheckpointError(f"{path}: {name} has no \"b64\" payload string")
-        if len(stored) != len(payloads):
-            raise CheckpointError(f"{path}: {len(payloads)} \"b64\" payloads for "
-                                  f"{len(stored)} stored arrays")
-        for (name, entry), payload in zip(stored.items(), payloads):
-            _load_array(path, name, entry, arrays[name], payload)
-        state.adam_t = doc["adam_t"]
-        state.step = doc["step"]
-    except KeyError as err:
-        raise CheckpointError(f"{path}: missing checkpoint field {err}") from err
-    except ConfigError as err:
-        raise CheckpointError(f"{path}: {err}") from err
+    with open_input(path, "checkpoint") as fh:
+        head, read = _read_header(fh)
+        doc = _parse_json(path, head if read is None else head + b'"}')
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: format version {version!r} is not supported "
+                                  f"(reader expects {FORMAT_VERSION})")
+        if read is None:
+            raise CheckpointError(f'{path}: no "payload" string ends the document')
+        try:
+            check_config("checkpoint", {k: v for k, v in doc.items() if k != "arrays"},
+                         CHECKPOINT_FIELDS)
+            for key in ("step", "adam_t"):
+                if doc[key] < 0:
+                    raise CheckpointError(f"{path}: checkpoint field {key} must be "
+                                          f"nonnegative, got {doc[key]}")
+            config = doc["config"]  # a null dataset: none was saved
+            check_config("checkpoint run", {k: v for k, v in config.items() if v is not None},
+                         RUN_FIELDS)
+            state = _build_state(ModelConfig.from_dict(config["model"]), _NoDraws())
+            dataset = (None if config.get("dataset") is None
+                       else DatasetSource.from_dict(config["dataset"]))
+            stored = doc["arrays"] if isinstance(doc["arrays"], dict) else {}
+            arrays = _state_arrays(state)
+            if set(stored) != set(arrays):
+                raise CheckpointError(f"{path}: arrays {sorted(set(stored) ^ set(arrays))} "
+                                      "do not match the model")
+            for name, entry in stored.items():
+                check_config(name, entry, ARRAY_FIELDS)
+            _load_payload(path, fh, read, stored, arrays)
+            state.adam_t = doc["adam_t"]
+            state.step = doc["step"]
+        except KeyError as err:
+            raise CheckpointError(f"{path}: missing checkpoint field {err}") from err
+        except ConfigError as err:
+            raise CheckpointError(f"{path}: {err}") from err
     return state, dataset
 
 
@@ -288,13 +288,14 @@ def resolve_run_config(raw: dict) -> dict:
             "train": {**TRAIN_DEFAULTS, **train}}
 
 
-def _write_atomically(path, write) -> None:
-    """Run ``write(fh)`` on a temporary file beside ``path``, then move it
-    over ``path``: a write that fails leaves ``path`` as it was."""
+def _write_atomically(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to a temporary file beside
+    ``path``, then move it over ``path``: a write that fails leaves
+    ``path`` as it was."""
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w", encoding="utf-8") as fh:
-            write(fh)
+        with open(temporary, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(temporary, path)
     finally:
         if os.path.exists(temporary):
@@ -303,11 +304,7 @@ def _write_atomically(path, write) -> None:
 
 def write_json(path, doc, **options) -> None:
     """Write ``doc`` as indented JSON with a final newline, atomically."""
-    def write(fh):
-        json.dump(doc, fh, indent=1, **options)
-        fh.write("\n")
-
-    _write_atomically(path, write)
+    _write_atomically(path, [(json.dumps(doc, indent=1, **options) + "\n").encode("utf-8")])
 
 
 def config_hash(resolved: dict) -> str:
@@ -327,7 +324,7 @@ def write_csv(path, columns, rows) -> None:
         return repr(float(value)) if isinstance(value, float) else str(value)
 
     lines = [",".join(columns)] + [",".join(cell(row.get(c)) for c in columns) for row in rows]
-    _write_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    _write_atomically(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 RECORD_KEYS = ("step", "recon", "vq", "gap", "temperature", "usage")

@@ -3,9 +3,12 @@ einsum convolution, the VQ-VAE objective as separate graph nodes, the
 EMA update over whole N x D arrays, the per-parameter Adam loop, a
 hand-rolled autoencoder, frozen-residual surrogates for gradient
 checking through the straight-through paths, a checkpoint's whole
-document for ``write_json``, and a run-report record as stored."""
+document for ``write_json`` and damaged copies of its text, and a
+run-report record as stored."""
 
 import base64
+import json
+import re
 
 import numpy as np
 
@@ -299,14 +302,10 @@ def adaptive_surrogate(state, x, tau=1.0, hard=True):
 
 
 def checkpoint_document(state, dataset=None):
-    """The whole document a checkpoint of ``state`` holds, every array's
-    base64 payload in place: ``write_json`` of it writes the bytes
-    ``save_checkpoint`` must write."""
-    def entry(arr):
-        little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        return {"shape": list(arr.shape), "dtype": str(arr.dtype),
-                "b64": base64.b64encode(little.tobytes()).decode("ascii")}
-
+    """The whole document a checkpoint of ``state`` holds, its hex payload
+    in place: ``write_json`` of it writes the bytes ``save_checkpoint``
+    must write."""
+    arrays = _state_arrays(state)
     return {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -315,7 +314,67 @@ def checkpoint_document(state, dataset=None):
         },
         "step": state.step,
         "adam_t": state.adam_t,
-        "arrays": {name: entry(arr) for name, arr in _state_arrays(state).items()},
+        "arrays": {name: {"shape": list(arr.shape), "dtype": str(arr.dtype)}
+                   for name, arr in arrays.items()},
+        "payload": "".join(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes().hex()
+                           for arr in arrays.values()),
+    }
+
+
+def stored_values(doc) -> dict:
+    """The flat values of each array of a checkpoint document, read from
+    its hex payload."""
+    values, at = {}, 0
+    for name, entry in doc["arrays"].items():
+        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
+        size = 2 * dtype.itemsize * int(np.prod(entry["shape"]))
+        values[name] = np.frombuffer(bytes.fromhex(doc["payload"][at:at + size]), dtype)
+        at += size
+    return values
+
+
+DAMAGE = ("cut-inside-payload", "bytes-after-brace", "odd-length-long", "odd-length-short",
+          "non-hex", "json-escape", "escaped-quote", "payload-missing", "key-after-payload",
+          "payload-before-step", "one-value-short", "format-3")
+
+
+def damaged_checkpoints(data: bytes) -> dict:
+    """Damaged copies of the checkpoint text ``data``, as ``save_checkpoint``
+    wrote it: each id of ``DAMAGE`` maps to the damaged text and a pattern of
+    the message that rejects it."""
+    doc = json.loads(data)
+    names = [re.escape(name) for name in doc["arrays"]]
+    start = data.index(b'"payload": "') + len(b'"payload": "')
+    end = start + len(doc["payload"])
+    last_value = 2 * np.dtype(doc["arrays"][list(doc["arrays"])[-1]]["dtype"]).itemsize
+    rest = {k: v for k, v in doc.items() if k != "payload"}
+    version3 = {**rest, "format_version": 3, "arrays": {
+        name: {**doc["arrays"][name], "b64": base64.b64encode(values.tobytes()).decode("ascii")}
+        for name, values in stored_values(doc).items()}}
+    return {
+        "cut-inside-payload": (data[:start + 10],
+                               f"the file ends inside the payload, in {names[0]}"),
+        "bytes-after-brace": (data + b"{}\n", "bytes follow the document's closing brace"),
+        "odd-length-long": (data[:end] + b"0" + data[end:],
+                            "the payload runs past the hex of the arrays' bytes"),
+        "odd-length-short": (data[:end - 1] + data[end:],
+                             f"the payload ends inside {names[-1]}"),
+        "non-hex": (data[:start + 4] + b"g" + data[start + 5:],
+                    f"{names[0]} has a bad payload: Non-hexadecimal digit"),
+        "json-escape": (data[:start + 4] + b"\\u%04x" % data[start + 4] + data[start + 5:],
+                        f"{names[0]} has a bad payload: Non-hexadecimal digit"),
+        "escaped-quote": (data[:start + 4] + b'\\"' + data[start + 4:],
+                          f"{names[0]} has a bad payload: Non-hexadecimal digit"),
+        "payload-missing": (json.dumps(rest).encode(), 'no "payload" string ends the document'),
+        "key-after-payload": (json.dumps({**doc, "surprise": 1}).encode(),
+                              "the payload is not the document's last value"),
+        "payload-before-step": (json.dumps({k: doc[k] for k in ["format_version", "config",
+                                                                "payload", "step", "adam_t",
+                                                                "arrays"]}).encode(),
+                                "missing checkpoint field 'step'"),
+        "one-value-short": (data[:end - last_value] + data[end:],
+                            f"the payload ends inside {names[-1]}"),
+        "format-3": (json.dumps(version3).encode(), "format version 3 is not supported"),
     }
 
 

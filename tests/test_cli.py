@@ -1,9 +1,10 @@
 """Command-line surface: subcommands, exit codes, seed override, and
 bit-exact reproduction from the resolved config."""
 
-import base64
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import report_record
+from helpers import DAMAGE, damaged_checkpoints, report_record, stored_values
 from aqvq.cli import cli_main
 
 RNG = np.random.default_rng
@@ -693,27 +694,20 @@ def _set(path, value):
 
 
 def _payload(edit):
-    """Edit for a checkpoint document: replace the first stored array's
-    base64 payload by ``edit(entry)``."""
+    """Edit for a checkpoint document: replace its hex payload by
+    ``edit(payload)``."""
     def apply(doc):
-        entry = next(iter(doc["arrays"].values()))
-        entry["b64"] = edit(entry)
+        doc["payload"] = edit(doc["payload"])
     return apply
 
 
-def _bad_character(entry):
-    # inserted, not substituted: a decoder that skips it reads the array intact
-    return entry["b64"][:4] + "*" + entry["b64"][4:]
+def _bad_character(payload):
+    # inserted, not substituted: a decoder that skips it reads the arrays intact
+    return payload[:4] + "*" + payload[4:]
 
 
-def _values(entry) -> np.ndarray:
-    """The flat values of a stored array."""
-    return np.frombuffer(base64.b64decode(entry["b64"]),
-                         np.dtype(entry["dtype"]).newbyteorder("<"))
-
-
-def _one_value_short(entry):
-    return base64.b64encode(_values(entry)[:-1].tobytes()).decode("ascii")
+def _one_value_short(payload):
+    return payload[:-16]  # the last array holds float64 values
 
 
 class TestMalformedCheckpoint:
@@ -726,19 +720,19 @@ class TestMalformedCheckpoint:
         _set(["arrays"], 5),
         _set(["arrays", "codebooks[0].ema_cluster_size"], "x"),
         _set(["arrays", "", "shape"], "x"),
-        _set(["arrays", "", "b64"], 5),
+        _set(["payload"], 5),
         _payload(_bad_character),
         _payload(_one_value_short),
-        _payload(lambda entry: [entry["b64"]]),
+        _payload(lambda payload: [payload]),
         _set(["config"], 7),
         _set(["adam_t"], 1.5),
         _set(["step"], -100),
         _set(["adam_t"], -1),
-        _set(["b64"], "AAAA"),
+        _set(["arrays", "", "payload"], "00"),
     ], ids=["gamma-str", "laplace-eps-list", "step-str", "arrays-int", "codebook-str",
-            "shape-str", "b64-int", "b64-bad-char",
-            "b64-one-value-short", "b64-list", "config-int", "adam-t-float",
-            "step-negative", "adam-t-negative", "b64-outside-arrays"])
+            "shape-str", "payload-int", "payload-bad-char",
+            "payload-one-value-short", "payload-list", "config-int", "adam-t-float",
+            "step-negative", "adam-t-negative", "payload-inside-arrays"])
     def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, edit):
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
@@ -752,18 +746,31 @@ class TestMalformedCheckpoint:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("case", DAMAGE)
+    def test_damaged_payload_exits_one_naming_the_damage(self, tmp_path, run_config, capsys,
+                                                         case):
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
+        text, message = damaged_checkpoints((out / "checkpoint.json").read_bytes())[case]
+        path = tmp_path / "damaged.json"
+        path.write_bytes(text)
+        capsys.readouterr()
+        assert cli_main(["analyze", "--checkpoint", str(path), "--gradient-gap"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and len(err.strip().splitlines()) == 1
+        assert re.search(message, err)
+
     @pytest.mark.parametrize("escape", [False, True], ids=["plain", "escaped"])
     def test_duplicate_array_key_exits_one(self, tmp_path, run_config, capsys, escape):
-        """A stored array given twice is rejected, also when the first copy's
-        payload is written with a JSON escape (no count of payloads shows it)."""
+        """A stored array given twice is rejected, also when the copy's name
+        is written with a JSON escape."""
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
         doc = json.loads((out / "checkpoint.json").read_text())
         name, entry = list(doc["arrays"].items())[-1]
-        first = entry["b64"][0]
-        payload = ("\\u%04x" % ord(first) if escape else first) + entry["b64"][1:]
-        copy = json.dumps({**entry, "b64": "@"}).replace("@", payload)
-        text = json.dumps(doc).replace('"arrays": {', f'"arrays": {{{json.dumps(name)}: {copy}, ')
+        key = ("\\u%04x" % ord(name[0]) if escape else name[0]) + name[1:]
+        text = json.dumps(doc).replace('"arrays": {',
+                                       f'"arrays": {{"{key}": {json.dumps(entry)}, ')
         path = tmp_path / "duplicate.json"
         path.write_text(text)
         capsys.readouterr()
@@ -787,17 +794,20 @@ class TestMalformedCheckpoint:
         assert "surprise" in err and list(out.glob("*")) == []
 
     def test_version_one_file_is_rejected(self, tmp_path, run_config, capsys):
-        """Files of formats 1 and 2 are rejected by their version number."""
+        """Files of formats 1, 2 and 3 are rejected by their version number."""
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
         current = json.loads((out / "checkpoint.json").read_text())
-        version2 = {**current, "format_version": 2, "arrays": {
+        values = stored_values(current)
+        version3 = json.loads(damaged_checkpoints((out / "checkpoint.json").read_bytes())
+                              ["format-3"][0])  # base64 of each array's bytes
+        version2 = {**version3, "format_version": 2, "arrays": {
             name: {"shape": entry["shape"], "dtype": entry["dtype"],  # one hex string a value
-                   "hex": [float(v).hex() for v in _values(entry)]}
+                   "hex": [float(v).hex() for v in values[name]]}
             for name, entry in current["arrays"].items()}}
-        version1 = {**current, "format_version": 1}
+        version1 = {**version3, "format_version": 1}
         version1["params"] = version1.pop("arrays")  # version 1 kept its arrays in separate tables
-        for version, doc in [(1, version1), (2, version2)]:
+        for version, doc in [(1, version1), (2, version2), (3, version3)]:
             path = tmp_path / f"version{version}.json"
             path.write_text(json.dumps(doc))
             capsys.readouterr()
@@ -806,16 +816,31 @@ class TestMalformedCheckpoint:
             assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
             assert f"version {version}" in err
 
-    def test_checkpoint_is_read_once(self, tmp_path, run_config, monkeypatch):
-        from aqvq import data  # the module of read_bytes, the one reader of input files
+    def test_checkpoint_is_opened_once_and_no_byte_read_twice(self, tmp_path, run_config,
+                                                              monkeypatch):
+        from aqvq import data  # the module of open_input, the one way input files are opened
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
-        opened = []
-        monkeypatch.setattr(data, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
-                            raising=False)
-        assert cli_main(["analyze", "--checkpoint", str(out / "checkpoint.json"),
-                         "--gradient-gap"]) == 0
-        assert opened == [str(out / "checkpoint.json")]
+        path = out / "checkpoint.json"
+        opened, spans = [], []
+
+        class Recording(io.BufferedReader):
+            def read(self, size=-1):
+                at = self.tell()
+                text = super().read(size)
+                spans.append((at, at + len(text)))
+                return text
+
+        def recording_open(file, mode):
+            opened.append(file)
+            return Recording(io.FileIO(file, mode))
+
+        monkeypatch.setattr(data, "open", recording_open, raising=False)
+        assert cli_main(["analyze", "--checkpoint", str(path), "--gradient-gap"]) == 0
+        assert opened == [str(path)]
+        spans = [span for span in sorted(spans) if span[0] != span[1]]
+        assert spans[0][0] == 0 and spans[-1][1] == path.stat().st_size
+        assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
 JSON = st.recursive(

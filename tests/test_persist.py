@@ -1,8 +1,13 @@
 """Checkpoints (bit-exact round trips, versioning) and run reports
 (schema, CSV/JSON value parity)."""
 
-import base64
+import binascii
 import json
+import re
+import tempfile
+import types
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import checkpoint_document, report_record
+from helpers import DAMAGE, checkpoint_document, damaged_checkpoints, report_record, stored_values
 from aqvq.cli import cli_main
 from aqvq.data import DatasetSource
 from aqvq.errors import CheckpointError, ConfigError, ContractError, FormatError
@@ -159,10 +164,10 @@ class TestCheckpointRoundTrip:
         assert read_checkpoint(tmp_path / "bare.json")[1] is None
 
 
-# A recipe whose one string holds the text the save splits its document at,
-# a quote, a backslash and a non-ASCII character.
+# A recipe whose one string holds the payload's key and the empty string the
+# save splits its document at, a quote, a backslash and a non-ASCII character.
 AWKWARD_RECIPE = DatasetSource(kind="idx_images",
-                               images_path='dir/"b64": "" \\ \u00e9.idx')
+                               images_path='dir/"payload": "" \\ \u00e9.idx')
 
 
 class TestStreamedSave:
@@ -188,24 +193,38 @@ class TestStreamedSave:
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(steps=1), path)
         old = path.read_bytes()
-        payload = persist._payload
         calls = []
 
         def fail_on_third(arr):
             calls.append(arr)
-            return payload(arr) if len(calls) < 3 else payload(arr).encode("ascii")
+            return binascii.b2a_hex(arr) if len(calls) < 3 else binascii.b2a_hex(arr).decode()
 
-        monkeypatch.setattr(persist, "_payload", fail_on_third)
+        monkeypatch.setattr(persist, "binascii", types.SimpleNamespace(b2a_hex=fail_on_third))
         with pytest.raises(TypeError):
             save_checkpoint(trained_state(steps=2), path)
         assert len(calls) == 3
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
+    @pytest.mark.parametrize("layout", ["big-endian", "fortran-order"])
+    def test_layout_of_an_array_does_not_change_the_payload(self, tmp_path, monkeypatch, layout):
+        """The payload holds each array's C-order little-endian bytes,
+        whatever the byte order and memory layout of the array saved."""
+        state = trained_state(quantizer="adaptive")
+        save_checkpoint(state, tmp_path / "native.json")
+        state_arrays = persist._state_arrays
+        relaid = {"big-endian": lambda arr: arr.astype(arr.dtype.newbyteorder(">")),
+                  "fortran-order": lambda arr: np.asfortranarray(arr)}[layout]
+        monkeypatch.setattr(persist, "_state_arrays",
+                            lambda s: {k: relaid(v) for k, v in state_arrays(s).items()})
+        save_checkpoint(state, tmp_path / "relaid.json")
+        payload = json.loads((tmp_path / "native.json").read_text())["payload"]
+        assert json.loads((tmp_path / "relaid.json").read_text())["payload"] == payload
 
-# Bit patterns the codec must carry unchanged: -0.0, the smallest and largest
-# subnormals, +-inf, and NaNs with distinct signs and payloads (quiet and
-# signalling).
+
+# Bit patterns a checkpoint must carry unchanged: -0.0, the smallest and
+# largest subnormals, +-inf, and NaNs with distinct signs and payloads (quiet
+# and signalling).
 SPECIAL_BITS = {
     np.float64: [0x8000000000000000, 0x1, 0x000FFFFFFFFFFFFF, 0x7FF0000000000000,
                  0xFFF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
@@ -215,32 +234,38 @@ SPECIAL_BITS = {
 }
 
 
-@st.composite
-def float_arrays(draw):
-    """A float32 or float64 array of 1-3 dims from arbitrary bit patterns,
-    the special ones above oversampled; sometimes a transposed view."""
-    dtype = draw(st.sampled_from([np.float64, np.float32]))
-    bits = np.dtype(dtype).itemsize * 8
-    uint = np.dtype(f"uint{bits}")
-    elements = st.sampled_from(SPECIAL_BITS[dtype]) | st.integers(0, 2 ** bits - 1)
-    shape = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)
-    arr = draw(hnp.arrays(uint, shape, elements=elements)).view(dtype)
-    return arr.T if draw(st.booleans()) else arr
+class TestBitExactRoundTrip:
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), precision=st.sampled_from(["double", "single"]),
+           empty_at=st.integers(0, 10 ** 3))
+    def test_save_load_save(self, data, precision, empty_at):
+        """A model's arrays filled with arbitrary bit patterns, the special
+        ones oversampled, and one zero-size array among them: save then load
+        gives the same bytes, a double save is byte-identical, and load then
+        save gives the same file."""
+        state = trained_state(quantizer="adaptive", precision=precision, steps=1)
+        for arr in persist._state_arrays(state).values():
+            uint = np.dtype(f"uint{8 * arr.itemsize}")
+            special = SPECIAL_BITS[arr.dtype.type]
+            elements = st.sampled_from(special) | st.integers(0, 2 ** (8 * arr.itemsize) - 1)
+            arr.view(uint)[...] = data.draw(hnp.arrays(uint, arr.shape, elements=elements))
+        state_arrays = persist._state_arrays
 
+        def with_empty(s):
+            items = list(state_arrays(s).items())
+            at = empty_at % (len(items) + 1)
+            return dict(items[:at] + [("empty", np.zeros((0, 3), items[0][1].dtype))] + items[at:])
 
-class TestArrayCodec:
-    @settings(deadline=None, max_examples=300)
-    @given(arr=float_arrays())
-    def test_bytes_round_trip_little_endian(self, arr):
-        entry = {"shape": list(arr.shape), "dtype": str(arr.dtype), "b64": persist._payload(arr)}
-        # the reader decodes into the array it is given, here laid out like arr
-        target = np.zeros_like(arr)
-        persist._load_array("ckpt.json", "x", entry, target, entry["b64"].encode("ascii"))
-        assert target.tobytes() == arr.tobytes()
-        little = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-        assert entry["b64"] == base64.b64encode(little).decode("ascii")
-        big = arr.astype(arr.dtype.newbyteorder(">"))
-        assert persist._payload(big) == entry["b64"]
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(persist, "_state_arrays", with_empty):
+            first, second, third = (Path(directory) / name for name in ("1", "2", "3"))
+            save_checkpoint(state, first)
+            save_checkpoint(state, second)
+            loaded = load_checkpoint(first)
+            save_checkpoint(loaded, third)
+            assert stored_bytes(loaded) == stored_bytes(state)
+            assert (loaded.step, loaded.adam_t) == (state.step, state.adam_t)
+            assert first.read_bytes() == second.read_bytes() == third.read_bytes()
 
 
 class TestCheckpointErrors:
@@ -277,25 +302,29 @@ class TestCheckpointErrors:
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(), path)
         doc = json.loads(path.read_text())
-        entry = doc["arrays"]["params[enc.w1]"]
-        first_four = base64.b64decode(entry["b64"])[:4 * 8]
-        entry["shape"], entry["b64"] = [2, 2], base64.b64encode(first_four).decode("ascii")
+        doc["arrays"]["params[enc.w1]"]["shape"] = [2, 2]
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError) as err:
+        with pytest.raises(CheckpointError, match=r"params\[enc.w1\] does not have"):
             load_checkpoint(path)
-        assert "enc.w1" in str(err.value)
 
-    @pytest.mark.parametrize("payload", [5, "*" * 12, "AAAAéAAA", "AAAAAAAAAAA="],
-                             ids=["not-a-string", "not-base64", "not-ascii", "one-value"])
+    @pytest.mark.parametrize("payload", [5, "*" * 12, "AAAA\u00e9AAA", "AAAAAAAAAAA="],
+                             ids=["not-a-string", "not-hex", "not-ascii", "base64"])
     def test_bad_payload_names_entry(self, tmp_path, payload):
+        """A payload not made of hex digits is rejected naming the entry its
+        bad digit falls in (a payload that is no string: none at all)."""
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(), path)
         doc = json.loads(path.read_text())
-        doc["arrays"]["params[enc.w1]"]["b64"] = payload
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError) as err:
+        at = len(doc["payload"]) - 24  # in the last array's hex
+        name = list(doc["arrays"])[-1]
+        if isinstance(payload, str):
+            payload = doc["payload"][:at] + payload + doc["payload"][at + len(payload):]
+        doc["payload"] = payload
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        message = ('no "payload" string' if payload == 5
+                   else rf"{re.escape(name)} has a bad payload")
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
-        assert "params[enc.w1]" in str(err.value)
 
     def test_unknown_adam_key_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -336,6 +365,7 @@ class TestCheckpointErrors:
         for key in where:
             node = node[key]
         node["surprise"] = {"x": 1}
+        doc["payload"] = doc.pop("payload")  # the payload stays the last value
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="surprise"):
             read_checkpoint(path)
@@ -354,21 +384,13 @@ def saved_bytes(tmp_path) -> bytes:
     return (tmp_path / "ckpt.json").read_bytes()
 
 
-def payload_at(data: bytes, k: int) -> int:
-    """Offset in ``data`` of the first byte of the ``k``-th payload."""
-    at = -1
-    for _ in range(k + 1):
-        at = data.index(b'"b64": "', at + 1)
-    return at + len(b'"b64": "')
-
-
 def stored_bytes(state) -> dict:
     return {name: arr.tobytes() for name, arr in persist._state_arrays(state).items()}
 
 
-class TestCutReader:
-    """The reader cuts each payload out of the file's bytes and parses only
-    the JSON around them; any JSON text of the document loads the same."""
+class TestStreamedReader:
+    """The reader parses only the JSON before the payload and streams the
+    payload into the state; any JSON text of the document loads the same."""
 
     @pytest.mark.parametrize("dump", [
         lambda doc: json.dumps(doc),
@@ -382,20 +404,42 @@ class TestCutReader:
         loaded, again = read_checkpoint(tmp_path / "relaid.json")
         assert stored_bytes(loaded) == stored_bytes(expected) and again == recipe
 
+    @pytest.mark.parametrize("at", [0, 1, 8, 9, 10, 15, 16, 17])
+    def test_payload_key_across_a_chunk_boundary_is_found(self, tmp_path, monkeypatch, at):
+        """A read chunk that ends inside the payload's key, or in the
+        whitespace after it, does not hide the key."""
+        data = saved_bytes(tmp_path)
+        key = data.index(b'"payload"')
+        data = data[:key + 9] + b" \n\t " + data[key + 9:]  # "payload" \n\t : "
+        (tmp_path / "spaced.json").write_bytes(data)
+        monkeypatch.setattr(persist, "READ_CHUNK", key + at)
+        loaded, _ = read_checkpoint(tmp_path / "spaced.json")
+        assert stored_bytes(loaded) == stored_bytes(read_checkpoint(tmp_path / "ckpt.json")[0])
+
+    @pytest.mark.parametrize("case", DAMAGE)
+    def test_damaged_file_is_rejected_naming_the_damage(self, tmp_path, case):
+        text, message = damaged_checkpoints(saved_bytes(tmp_path))[case]
+        (tmp_path / "damaged.json").write_bytes(text)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(tmp_path / "damaged.json")
+
     @pytest.mark.parametrize("k", [0, 5, -1], ids=["first", "middle", "last"])
     def test_escaped_payload_names_entry(self, tmp_path, capsys, k):
-        """A payload written with a JSON escape, which ``save_checkpoint``
-        never writes, is cut like any other and fails base64 validation;
-        resuming from it exits 1 with one line."""
+        """A payload digit written with a JSON escape, which
+        ``save_checkpoint`` never writes, fails hex decoding in the array it
+        falls in; resuming from it exits 1 with one line."""
         data = saved_bytes(tmp_path)
-        k %= data.count(b'"b64": "')
-        at = payload_at(data, k)
+        doc = json.loads(data)
+        name = list(doc["arrays"])[k]
+        at = data.index(b'"payload": "') + len(b'"payload": "')
+        for before, values in stored_values(doc).items():
+            if before == name:
+                break
+            at += 2 * values.nbytes
         escaped = data[:at] + b"\\u%04x" % data[at] + data[at + 1:]
         (tmp_path / "escaped.json").write_bytes(escaped)
-        name = list(json.loads(data)["arrays"])[k]
-        with pytest.raises(CheckpointError) as err:
+        with pytest.raises(CheckpointError, match=rf"{re.escape(name)} has a bad payload"):
             load_checkpoint(tmp_path / "escaped.json")
-        assert f"{name} has a bad payload" in str(err.value)
         (tmp_path / "config.json").write_text(json.dumps({"train": {"steps": 2}}))
         out = tmp_path / "out"
         assert cli_main(["train", "--config", str(tmp_path / "config.json"), "--resume",
@@ -404,36 +448,25 @@ class TestCutReader:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert name in err and list(out.glob("*")) == []
 
-    def test_escaped_quote_in_payload_is_rejected(self, tmp_path):
-        """An escaped quote ends the cut early: the file is JSON, but the text
-        left by the cut is not."""
-        data = saved_bytes(tmp_path)
-        at = payload_at(data, 3) + 4
-        (tmp_path / "quoted.json").write_bytes(data[:at] + b'\\"' + data[at:])
-        with pytest.raises(CheckpointError, match="payload holds an escaped quote"):
-            load_checkpoint(tmp_path / "quoted.json")
-
     @pytest.mark.parametrize("raw", [b"\xc3\xa9", b"\xff", b"\x01", b"\n"],
                              ids=["non-ascii", "not-utf8", "control", "line-break"])
     def test_raw_byte_in_payload_names_entry(self, tmp_path, raw):
         data = saved_bytes(tmp_path)
-        at = payload_at(data, 3) + 4
+        at = data.index(b'"payload": "') + len(b'"payload": "') + 4
         (tmp_path / "bad.json").write_bytes(data[:at] + raw + data[at:])
-        name = list(json.loads(data)["arrays"])[3]
-        with pytest.raises(CheckpointError) as err:
+        name = list(json.loads(data)["arrays"])[0]
+        with pytest.raises(CheckpointError, match=rf"{re.escape(name)} has a bad payload"):
             load_checkpoint(tmp_path / "bad.json")
-        assert name in str(err.value)
 
     @pytest.mark.parametrize("layout", ["indented", "compact"])
-    @pytest.mark.parametrize("cut", ["inside-payload", "not-utf8-outside", "bad-token"])
+    @pytest.mark.parametrize("cut", ["not-utf8-outside", "bad-token"])
     def test_malformed_file_reported_where_the_file_has_it(self, tmp_path, layout, cut):
         data = saved_bytes(tmp_path)
         if layout == "compact":
             data = json.dumps(json.loads(data)).encode()
-        at = payload_at(data, 7) + 10
-        broken = {"inside-payload": data[:at],
-                  "not-utf8-outside": data.replace(b'"float64"', b'"float\xff64"', 1),
-                  "bad-token": data[:at] + data[at:].replace(b'"dtype"', b'dtype', 1)}[cut]
+        at = data.rindex(b'"dtype"')  # in the last stored entry, before the payload
+        broken = {"not-utf8-outside": data.replace(b'"float64"', b'"float\xff64"', 1),
+                  "bad-token": data[:at] + b"dtype" + data[at + len(b'"dtype"'):]}[cut]
         path = tmp_path / "broken.json"
         path.write_bytes(broken)
         with pytest.raises(FormatError) as expected:

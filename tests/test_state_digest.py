@@ -19,6 +19,6 @@ def test_dense_w64_double_line_repeats(tmp_path):
         spec.loader.exec_module(tool)
     first, second = (tool.digest("dense-w64", "double", tmp_path) for _ in range(2))
     assert first == second
-    workload, precision, sha, recon = first.split()
-    assert (workload, precision, len(sha)) == ("dense-w64", "double", 64)
+    workload, precision, file_sha, recon, state_sha = first.split()
+    assert (workload, precision, len(file_sha), len(state_sha)) == ("dense-w64", "double", 64, 64)
     assert float.fromhex(recon) > 0
