@@ -2,7 +2,9 @@
 
 Two synthetic generators (a Gaussian mixture of cluster centers and a
 bank of procedural 8x8 image patterns) plus a reader for the big-endian
-IDX image/label format. Everything is deterministic per seed.
+IDX image/label format. Everything is deterministic per seed, and the
+synthetic samples are labelled by their mixture component or pattern
+family.
 ``open_input`` is the one way input files are opened: ``read_bytes`` reads
 IDX files here and JSON documents in ``persist`` through it, and
 ``persist`` streams checkpoints from it.
@@ -104,47 +106,82 @@ def _split(data: np.ndarray, labels, source: DatasetSource) -> Dataset:
     )
 
 
-def _gaussian_mixture(source: DatasetSource, rng: np.random.Generator) -> np.ndarray:
+def _gaussian_mixture(source: DatasetSource, rng: np.random.Generator):
+    """Rows around random cluster centers, and each row's cluster."""
     centers = source.spread * rng.normal(size=(source.clusters, source.dims))
     which = rng.integers(0, source.clusters, size=source.samples)
     noise = rng.normal(size=(source.samples, source.dims))
-    return centers[which] + source.noise_sigma * noise
+    return centers[which] + source.noise_sigma * noise, which
 
 
-def _patterns(source: DatasetSource, rng: np.random.Generator) -> np.ndarray:
-    """Procedural 8x8 single-channel images: stripes, checkers, blobs."""
-    side = 8
-    yy, xx = np.mgrid[0:side, 0:side]
-    images = np.empty((source.samples, 1, side, side))
+PATTERN_SIDE = 8
+
+
+def _fixed_patterns():
+    """The 21 noise-free stripe and checker images, and the row of each:
+    stripes by (period, phase, along y), checkers by cell size."""
+    yy, xx = np.mgrid[0:PATTERN_SIDE, 0:PATTERN_SIDE]
+    rows, images = {}, []
+    for period in (2, 3, 4):
+        for phase in range(period):
+            for along_y in (True, False):
+                rows[period, phase, along_y] = len(images)
+                images.append(((yy if along_y else xx) + phase) // period % 2)
+    for cell in (1, 2, 3):
+        rows[cell] = len(images)
+        images.append(((yy // cell) + (xx // cell)) % 2)
+    return rows, np.array(images, dtype=np.float64)
+
+
+_FIXED_ROWS, _FIXED_IMAGES = _fixed_patterns()
+
+
+def _patterns(source: DatasetSource, rng: np.random.Generator):
+    """Procedural 8x8 single-channel images (stripes, checkers, blobs), and
+    each image's family: 0 stripes, 1 checkers, 2 blobs.
+
+    The generator is drawn in one fixed order: the families; then, sample
+    by sample, that sample's parameters (stripes: period, phase and
+    orientation; checkers: cell size; blobs: centre, then width); then the
+    noise. The loop only draws. The images are built in bulk afterwards:
+    stripes and checkers are rows of a table of the 21 fixed images, and
+    the blobs are one Gaussian over all of them.
+    """
+    yy, xx = np.mgrid[0:PATTERN_SIDE, 0:PATTERN_SIDE]
     families = rng.integers(0, 3, size=source.samples)
-    for i, family in enumerate(families):
+    fixed, blobs = [], []
+    for family in families.tolist():
         if family == 0:  # stripes, random orientation/period/phase
             period = int(rng.integers(2, 5))
             phase = int(rng.integers(0, period))
-            axis = yy if rng.random() < 0.5 else xx
-            img = ((axis + phase) // period % 2).astype(np.float64)
+            fixed.append(_FIXED_ROWS[period, phase, rng.random() < 0.5])
         elif family == 1:  # checkerboard with random cell size
-            cell = int(rng.integers(1, 4))
-            img = (((yy // cell) + (xx // cell)) % 2).astype(np.float64)
+            fixed.append(_FIXED_ROWS[int(rng.integers(1, 4))])
         else:  # gaussian blob at a random location
             cy, cx = rng.uniform(1.5, 6.5, size=2)
             width = rng.uniform(1.0, 2.5)
-            img = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * width**2))
-        images[i, 0] = img
+            # per sample: the array form 2.0 * w**2 rounds some widths differently
+            blobs.append((cy, cx, 2.0 * width**2))
+    images = np.empty((source.samples, 1, PATTERN_SIDE, PATTERN_SIDE))
+    is_blob = families == 2
+    images[~is_blob, 0] = _FIXED_IMAGES[fixed]
+    cy, cx, den = np.array(blobs).reshape(-1, 3).T[..., None, None]
+    images[is_blob, 0] = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / den)
     images += source.noise_sigma * rng.normal(size=images.shape)
-    return images
+    return images, families
 
 
 def synth_dataset(source: DatasetSource) -> Dataset:
-    """Generate a synthetic dataset; identical seeds give identical bits."""
+    """Generate a synthetic dataset, labelled by each sample's mixture
+    component or pattern family; identical seeds give identical bits."""
     rng = np.random.default_rng(source.seed)
     if source.kind == "synthetic_gaussian_mixture":
-        data = _gaussian_mixture(source, rng)
+        data, labels = _gaussian_mixture(source, rng)
     elif source.kind == "synthetic_patterns":
-        data = _patterns(source, rng)
+        data, labels = _patterns(source, rng)
     else:
         raise ConfigError(f"synth_dataset cannot generate kind {source.kind!r}")
-    return _split(data, None, source)
+    return _split(data, labels, source)
 
 
 @contextmanager

@@ -183,22 +183,27 @@ def _read_header(fh) -> tuple[bytes, bytes | None]:
 def _load_payload(path, fh, read: bytes, stored: dict, arrays: dict) -> None:
     """Decode the payload, ``read`` and then the rest of ``fh``, into the
     state's ``arrays``: each ``stored`` entry, in document order, takes the
-    hex of its array's bytes; then the document must end."""
+    hex of its array's bytes; then the document must end. Each array's hex
+    is read into one buffer, sized for the largest array and reused."""
     read = memoryview(read)
+    text = bytearray(2 * max(arr.nbytes for arr in arrays.values()))
+    window = memoryview(text)
     for name, entry in stored.items():
         arr = arrays[name]
         if entry["shape"] != list(arr.shape) or arr.dtype != entry["dtype"]:
             raise CheckpointError(f"{path}: {name} does not have the model's shape "
                                   f"{list(arr.shape)} and dtype {arr.dtype}")
         need = 2 * arr.nbytes
-        text, read = bytes(read[:need]), read[need:]
-        text += fh.read(need - len(text))
-        if len(text) < need and b'"' not in text:
+        got = min(need, len(read))
+        window[:got] = read[:got]
+        read = read[got:]
+        got += fh.readinto(window[got:need])
+        if got < need and text.find(b'"', 0, got) < 0:
             raise CheckpointError(f"{path}: the file ends inside the payload, in {name}")
         try:
-            raw = binascii.a2b_hex(text)
+            raw = binascii.a2b_hex(window[:got])
         except ValueError as err:  # binascii.Error: a non-hex digit, a quote or an escape
-            if b'"' in text and b"\\" not in text:
+            if text.find(b'"', 0, got) >= 0 and text.find(b"\\", 0, got) < 0:
                 raise CheckpointError(f"{path}: the payload ends inside {name}") from err
             raise CheckpointError(f"{path}: {name} has a bad payload: {err}") from err
         arr[...] = np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape)

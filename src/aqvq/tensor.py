@@ -106,7 +106,7 @@ class Tensor:
 
 def normal_param(rng: np.random.Generator, fan_in: int, shape, dtype) -> Tensor:
     """Trainable weights drawn from a normal with std 1/sqrt(fan_in)."""
-    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape).astype(dtype),
+    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape).astype(dtype, copy=False),
                   requires_grad=True)
 
 

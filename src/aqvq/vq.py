@@ -424,9 +424,8 @@ class QuantizerLayer:
                  trainable_codebook: bool = False, dtype=np.float64):
         self.spec = spec
         # std 1/sqrt(d) keeps expected codeword norm at 1 across structures
-        self.codebook = Codebook(
-            rng.normal(0.0, 1.0 / np.sqrt(spec.d), size=(spec.n, spec.d)).astype(dtype),
-            trainable=trainable_codebook)
+        codewords = rng.normal(0.0, 1.0 / np.sqrt(spec.d), size=(spec.n, spec.d))
+        self.codebook = Codebook(codewords.astype(dtype, copy=False), trainable=trainable_codebook)
         self.w_in = normal_param(rng, num_hiddens, (num_hiddens, spec.d), dtype)
         self.b_in = zeros_param(spec.d, dtype)
         self.w_out = normal_param(rng, spec.d, (spec.d, num_hiddens), dtype)

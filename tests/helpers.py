@@ -1,10 +1,11 @@
-"""Shared test oracles: brute-force scans, the dense distance scan, an
-einsum convolution, the VQ-VAE objective as separate graph nodes, the
-EMA update over whole N x D arrays, the per-parameter Adam loop, a
-hand-rolled autoencoder, frozen-residual surrogates for gradient
-checking through the straight-through paths, a checkpoint's whole
-document for ``write_json`` and damaged copies of its text, and a
-run-report record as stored."""
+"""Shared test oracles: brute-force scans, the dense distance scan, the
+pattern images built one sample at a time, an einsum convolution, the
+VQ-VAE objective as separate graph nodes, the EMA update over whole
+N x D arrays, the per-parameter Adam loop, a hand-rolled autoencoder,
+frozen-residual surrogates for gradient checking through the
+straight-through paths, a checkpoint's whole document for
+``write_json`` and damaged copies of its text, and a run-report record
+as stored."""
 
 import base64
 import json
@@ -61,6 +62,31 @@ def dense_scan_nearest(z, embeddings):
     assert z.shape[1] == embeddings.shape[1] == 1
     e = embeddings[:, 0]
     return np.argmin(((z * z) + (z * -2.0) * e) + e * e, axis=1)
+
+
+def reference_patterns(source, rng):
+    """The 8x8 pattern images of ``data._patterns``, built one sample at a
+    time with the same draws in the same order, and their families."""
+    side = 8
+    yy, xx = np.mgrid[0:side, 0:side]
+    images = np.empty((source.samples, 1, side, side))
+    families = rng.integers(0, 3, size=source.samples)
+    for i, family in enumerate(families):
+        if family == 0:  # stripes, random orientation/period/phase
+            period = int(rng.integers(2, 5))
+            phase = int(rng.integers(0, period))
+            axis = yy if rng.random() < 0.5 else xx
+            img = ((axis + phase) // period % 2).astype(np.float64)
+        elif family == 1:  # checkerboard with random cell size
+            cell = int(rng.integers(1, 4))
+            img = (((yy // cell) + (xx // cell)) % 2).astype(np.float64)
+        else:  # gaussian blob at a random location
+            cy, cx = rng.uniform(1.5, 6.5, size=2)
+            width = rng.uniform(1.0, 2.5)
+            img = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * width**2))
+        images[i, 0] = img
+    images += source.noise_sigma * rng.normal(size=images.shape)
+    return images, families
 
 
 def reference_conv2d_3x3(x, w, b, stride, g):

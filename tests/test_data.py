@@ -1,13 +1,15 @@
-"""Datasets: synthetic generators (determinism, moments) and the IDX
-file format reader (magic validation, truncation, scaling)."""
+"""Datasets: synthetic generators (determinism, moments, labels, the
+pattern images against their per-sample oracle) and the IDX file format
+reader (magic validation, truncation, scaling)."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from aqvq.data import Dataset, DatasetSource, load_idx, make_dataset, synth_dataset
+from aqvq.data import Dataset, DatasetSource, _patterns, load_idx, make_dataset, synth_dataset
 from aqvq.errors import ConfigError, FormatError
+from helpers import reference_patterns
 
 RNG = np.random.default_rng
 
@@ -90,6 +92,48 @@ class TestPatterns:
         ds = synth_dataset(src)
         flat = ds.train.reshape(ds.train.shape[0], -1)
         assert np.unique(flat, axis=0).shape[0] > 5
+
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("samples", [2, 3, 7, 1024])
+    @pytest.mark.parametrize("seed", [0, 5, 11, 97])
+    def test_bulk_build_matches_per_sample_oracle(self, seed, samples, noise_sigma):
+        src = DatasetSource(kind="synthetic_patterns", samples=samples,
+                            noise_sigma=noise_sigma, seed=seed)
+        ours, theirs = RNG(seed), RNG(seed)
+        images, families = _patterns(src, ours)
+        ref_images, ref_families = reference_patterns(src, theirs)
+        assert images.tobytes() == ref_images.tobytes()
+        np.testing.assert_array_equal(families, ref_families)
+        # the same draws in the same order leave the generator in the same state
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestLabels:
+    @staticmethod
+    def labelled_rows(src):
+        ds = synth_dataset(src)
+        assert ds.labels_train.shape == ds.train.shape[:1]
+        assert ds.labels_val.shape == ds.val.shape[:1]
+        return (np.concatenate([ds.train, ds.val]),
+                np.concatenate([ds.labels_train, ds.labels_val]))
+
+    def test_pattern_labels_are_families(self):
+        src = DatasetSource(kind="synthetic_patterns", samples=300, noise_sigma=0.0, seed=3)
+        data, labels = self.labelled_rows(src)
+        assert set(labels.tolist()) == {0, 1, 2}
+        # stripes and checkers are binary images; blobs are not
+        assert set(np.unique(data[labels < 2]).tolist()) == {0.0, 1.0}
+        assert not np.isin(data[labels == 2], (0.0, 1.0)).all()
+
+    def test_mixture_labels_are_components(self):
+        src = DatasetSource(clusters=5, dims=3, samples=200, noise_sigma=0.0, seed=4)
+        data, labels = self.labelled_rows(src)
+        assert set(labels.tolist()) == set(range(5))
+        for label in range(5):
+            rows = data[labels == label]
+            np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+        assert np.unique(data, axis=0).shape[0] == 5
 
 
 class TestLoadIdx:
