@@ -25,7 +25,7 @@ print(f"trained {state.step} steps; "
 with tempfile.TemporaryDirectory(prefix="aqvq_demo_") as tmp:
     workdir = Path(tmp)
 
-    # Checkpoints (format 4) store each array's exact bytes: one hex payload
+    # Checkpoints (format 5) store each array's exact bytes: one hex payload
     # of every array's little-endian bytes ends the JSON document, so
     # reloading is exact.
     ckpt = workdir / "checkpoint.json"

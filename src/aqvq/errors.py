@@ -49,7 +49,13 @@ def _same_type(value, default) -> bool:
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_same_type(v, default[0]) for v in value)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+    if isinstance(default, float) and isinstance(value, int):
+        try:  # an integer is a float value if a float can hold it
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(value, type(default))
 
 
 def check_config(name: str, raw, defaults) -> dict:

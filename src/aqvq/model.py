@@ -15,7 +15,7 @@ pool's rows another way: each by the one codebook it selects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               for v in self.input_shape):
+            raise ConfigError(f"input_shape entries must be integers, got {self.input_shape}")
         self.input_shape = tuple(int(v) for v in self.input_shape)
         if self.encoder_arch not in ("dense", "small_conv"):
             raise ConfigError(f"unknown encoder architecture {self.encoder_arch!r}")
@@ -165,9 +168,7 @@ class TrainState:
     params: dict                 # name -> Tensor trained by Adam
     codebooks: list
     quantizer: object            # QuantizerLayer | CodebookPool | None
-    adam_m: dict = field(default_factory=dict)
-    adam_v: dict = field(default_factory=dict)
-    arena: tuple = ()            # flat (params, m, v) that the three dicts hold views of
+    arena: tuple = ()            # flat (params, m, v): each parameter's data is a view of params
     adam_t: int = 0
     step: int = 0
 
@@ -237,14 +238,12 @@ def _build_state(config: ModelConfig, rng) -> TrainState:
         params.update(quantizer.parameters(prefix="pool."))
 
     flat = np.concatenate([p.data.ravel() for p in params.values()])
-    state = TrainState(config=config, params=params, codebooks=codebooks, quantizer=quantizer,
-                       arena=(flat, np.zeros_like(flat), np.zeros_like(flat)))
     end = 0
-    for name, p in params.items():
+    for p in params.values():
         start, end = end, end + p.data.size
-        p.data, state.adam_m[name], state.adam_v[name] = (
-            arr[start:end].reshape(p.data.shape) for arr in state.arena)
-    return state
+        p.data = flat[start:end].reshape(p.data.shape)
+    return TrainState(config=config, params=params, codebooks=codebooks, quantizer=quantizer,
+                      arena=(flat, np.zeros_like(flat), np.zeros_like(flat)))
 
 
 def _as_input(x, config: ModelConfig) -> Tensor:

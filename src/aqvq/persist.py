@@ -1,9 +1,10 @@
 """Checkpoints, run reports, and resolved run configurations.
 
-Checkpoints (format 4) are JSON documents: the config, ``step``,
+Checkpoints (format 5) are JSON documents: the config, ``step``,
 ``adam_t``, an ``arrays`` map from each array's name to its shape and
-dtype, and last one ``payload`` string, the lowercase hex of every
-array's C-order little-endian bytes in ``arrays`` order. Save/load
+dtype (the Adam moments are two entries, ``adam_m`` and ``adam_v``, each
+a whole arena array), and last one ``payload`` string, the lowercase hex
+of every array's C-order little-endian bytes in ``arrays`` order. Save/load
 round-trips are bit-exact on any host and a double save is
 byte-identical; files of earlier formats are rejected by their version
 number. A checkpoint is written as the indented JSON of its document up
@@ -32,6 +33,7 @@ import json
 import operator
 import os
 import re
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +55,7 @@ __all__ = [
     "write_json",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 TRAIN_DEFAULTS = {
     "steps": 2000,
@@ -67,15 +69,14 @@ TRAIN_DEFAULTS = {
 def _state_arrays(state: TrainState) -> dict:
     """Every array of a model's state, under the name a checkpoint stores it
     by: each Adam-trained parameter, each codebook's EMA buffers (and its
-    codewords when EMA trains them), and the Adam moments."""
+    codewords when EMA trains them), and the arena's two Adam moments."""
     arrays = {f"params[{name}]": p.data for name, p in state.params.items()}
     for i, cb in enumerate(state.codebooks):
         if not cb.embeddings.requires_grad:
             arrays[f"codebooks[{i}].embeddings"] = cb.embeddings.data
         arrays[f"codebooks[{i}].ema_cluster_size"] = cb.ema_cluster_size
         arrays[f"codebooks[{i}].ema_embed_sum"] = cb.ema_embed_sum
-    arrays.update((f"adam_m[{name}]", m) for name, m in state.adam_m.items())
-    arrays.update((f"adam_v[{name}]", v) for name, v in state.adam_v.items())
+    arrays["adam_m"], arrays["adam_v"] = state.arena[1:]
     return arrays
 
 
@@ -251,10 +252,11 @@ def read_checkpoint(path) -> tuple[TrainState, DatasetSource | None]:
         try:
             check_config("checkpoint", {k: v for k, v in doc.items() if k != "arrays"},
                          CHECKPOINT_FIELDS)
+            # no run reaches 2**63 steps, and Adam raises its betas to the power adam_t
             for key in ("step", "adam_t"):
-                if doc[key] < 0:
-                    raise CheckpointError(f"{path}: checkpoint field {key} must be "
-                                          f"nonnegative, got {doc[key]}")
+                if not 0 <= doc[key] < 2**63:
+                    raise CheckpointError(f"{path}: checkpoint field {key} must be nonnegative "
+                                          f"and below 2**63, got {reprlib.repr(doc[key])}")
             config = doc["config"]  # a null dataset: none was saved
             check_config("checkpoint run", {k: v for k, v in config.items() if v is not None},
                          RUN_FIELDS)

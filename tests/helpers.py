@@ -152,16 +152,18 @@ def reference_ema_update(codebook, z_rows, indices, gamma, laplace_eps):
 
 def reference_adam_update(state):
     """``model._adam_update`` as one loop over the parameters, each with
-    its own moment arrays, and a zero gradient for a parameter without one."""
+    its own moment slices, cut from the arena by the parameter sizes in
+    order, and a zero gradient for a parameter without one."""
     lr = state.config.learning_rate
     state.adam_t += 1
     t = state.adam_t
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in state.params.items():
+    end = 0
+    for p in state.params.values():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.adam_m[name]
-        v = state.adam_v[name]
+        start, end = end, end + p.data.size
+        m, v = (arr[start:end].reshape(p.data.shape) for arr in state.arena[1:])
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,9 @@ from hypothesis import strategies as st
 
 from helpers import DAMAGE, damaged_checkpoints, report_record, stored_values
 from aqvq.cli import cli_main
+from aqvq.data import DatasetSource
+from aqvq.experiments import AblationGrid
+from aqvq.model import ModelConfig
 
 RNG = np.random.default_rng
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -555,6 +559,49 @@ class TestWrongShapeInput:
         assert len(err.strip().splitlines()) == 1
 
 
+def _float_keys(cls) -> list:
+    """The fields of the config dataclass ``cls`` whose defaults are floats
+    or tuples of floats."""
+    return [f.name for f in fields(cls)
+            if isinstance(f.default[0] if isinstance(f.default, tuple) else f.default, float)]
+
+
+FLOAT_KEYS = ([("model", key) for key in _float_keys(ModelConfig)]
+              + [("dataset", key) for key in _float_keys(DatasetSource)]
+              + [("grid", key) for key in _float_keys(AblationGrid)]
+              + [("checkpoint", "alpha")])
+
+
+class TestFloatTooLarge:
+    """A float config value given as an integer that no float can hold
+    exits 1 with one error line naming it, and writes nothing."""
+
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS,
+                             ids=[f"{section}-{key}" for section, key in FLOAT_KEYS])
+    def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, section, key):
+        huge = 10**400
+        path, out = tmp_path / "input.json", tmp_path / "out"
+        if section == "grid":
+            document = {key: [huge]}
+            argv = ["ablate", "--grid", path, "--config", run_config, "--out", out]
+        elif section == "checkpoint":
+            run = tmp_path / "run"
+            assert cli_main(["train", "--config", str(run_config), "--out", str(run)]) == 0
+            document = json.loads((run / "checkpoint.json").read_text())
+            document["config"]["model"][key] = huge
+            argv = ["analyze", "--checkpoint", path, "--gradient-gap"]
+        else:
+            document = json.loads(run_config.read_text())
+            document[section][key] = huge
+            argv = ["train", "--config", path, "--out", out]
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert cli_main([str(arg) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert key in err and list(out.glob("*")) == []
+
+
 class TestArgumentErrors:
     def test_unknown_flag_exits_one(self, capsys):
         assert cli_main(["train", "--bogus"]) == 1
@@ -729,10 +776,13 @@ class TestMalformedCheckpoint:
         _set(["step"], -100),
         _set(["adam_t"], -1),
         _set(["arrays", "", "payload"], "00"),
+        _set(["adam_t"], 10**400),
+        _set(["step"], 2**63),
     ], ids=["gamma-str", "laplace-eps-list", "step-str", "arrays-int", "codebook-str",
             "shape-str", "payload-int", "payload-bad-char",
             "payload-one-value-short", "payload-list", "config-int", "adam-t-float",
-            "step-negative", "adam-t-negative", "payload-inside-arrays"])
+            "step-negative", "adam-t-negative", "payload-inside-arrays", "adam-t-huge",
+            "step-huge"])
     def test_exits_one_with_one_line(self, tmp_path, run_config, capsys, edit):
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
@@ -794,11 +844,20 @@ class TestMalformedCheckpoint:
         assert "surprise" in err and list(out.glob("*")) == []
 
     def test_version_one_file_is_rejected(self, tmp_path, run_config, capsys):
-        """Files of formats 1, 2 and 3 are rejected by their version number."""
+        """Files of formats 1 to 4 are rejected by their version number."""
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(run_config), "--out", str(out)]) == 0
         current = json.loads((out / "checkpoint.json").read_text())
         values = stored_values(current)
+        # format 4 stored one pair of moment entries a parameter, in parameter
+        # order, so its payload is the same hex
+        params = {name[len("params["):-1]: entry for name, entry in current["arrays"].items()
+                  if name.startswith("params[")}
+        version4 = {**current, "format_version": 4, "arrays": {
+            **{name: entry for name, entry in current["arrays"].items()
+               if not name.startswith("adam_")},
+            **{f"{moment}[{name}]": entry for moment in ("adam_m", "adam_v")
+               for name, entry in params.items()}}}
         version3 = json.loads(damaged_checkpoints((out / "checkpoint.json").read_bytes())
                               ["format-3"][0])  # base64 of each array's bytes
         version2 = {**version3, "format_version": 2, "arrays": {
@@ -807,7 +866,7 @@ class TestMalformedCheckpoint:
             for name, entry in current["arrays"].items()}}
         version1 = {**version3, "format_version": 1}
         version1["params"] = version1.pop("arrays")  # version 1 kept its arrays in separate tables
-        for version, doc in [(1, version1), (2, version2), (3, version3)]:
+        for version, doc in [(1, version1), (2, version2), (3, version3), (4, version4)]:
             path = tmp_path / f"version{version}.json"
             path.write_text(json.dumps(doc))
             capsys.readouterr()

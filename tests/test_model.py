@@ -25,6 +25,7 @@ from aqvq.model import (
     rng_streams,
     train_step,
 )
+from aqvq.persist import _state_arrays
 from aqvq.tensor import Graph, Tensor, backward, finite_difference_grad, relative_error
 from aqvq.vq import QuantResult, nearest_indices
 
@@ -53,6 +54,16 @@ class TestConfig:
             ModelConfig(encoder_arch="small_conv", input_shape=(8,))
         with pytest.raises(ConfigError):
             ModelConfig(encoder_arch="small_conv", input_shape=(1, 5, 7))
+
+    @pytest.mark.parametrize("entry", [8.7, 8.0, True, np.float64(8.0), "8"],
+                             ids=["float", "whole-float", "bool", "numpy-float", "str"])
+    def test_input_shape_entry_must_be_an_integer(self, entry):
+        with pytest.raises(ConfigError, match="input_shape entries must be integers"):
+            ModelConfig(input_shape=(entry,))
+
+    def test_input_shape_takes_numpy_integers(self):
+        cfg = ModelConfig(encoder_arch="small_conv", input_shape=np.array([1, 8, 8]))
+        assert cfg.input_shape == (1, 8, 8) and all(type(v) is int for v in cfg.input_shape)
 
     def test_latent_grid_shape_arithmetic(self):
         cfg = ModelConfig(encoder_arch="small_conv", input_shape=(1, 8, 8),
@@ -290,21 +301,20 @@ class TestAdamArena:
                 state.params["dec.b1" if cfg.encoder_arch == "dense" else "dec.conv1.b"].grad = None
             _adam_update(arena)
             reference_adam_update(looped)
-            for key, p in arena.params.items():
-                for a, b in ((p.data, looped.params[key].data),
-                             (arena.adam_m[key], looped.adam_m[key]),
-                             (arena.adam_v[key], looped.adam_v[key])):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (step, key)
+            for a, b in zip(arena.arena, looped.arena):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), step
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_state_arrays_tile_the_arena(self, name):
         state = init_state(dense_config(**self.CONFIGS[name]))
         train_step(RNG(4).normal(size=(4,) + state.config.input_shape), state)
+        flat, m, v = state.arena
         data = [p.data for p in state.params.values()]
-        for flat, arrays in zip(state.arena, (data, list(state.adam_m.values()),
-                                              list(state.adam_v.values()))):
-            assert sum(a.size for a in arrays) == flat.size
-            assert all(np.shares_memory(a, flat) for a in arrays)
+        assert sum(a.size for a in data) == flat.size == m.size == v.size
+        assert all(np.shares_memory(a, flat) for a in data)
+        # a checkpoint stores the moments as the arena's own arrays, not copies
+        stored = _state_arrays(state)
+        assert stored["adam_m"] is m and stored["adam_v"] is v
 
     def test_overflowing_update_names_parameter(self):
         state = init_state(dense_config(learning_rate=np.finfo(np.float64).max))

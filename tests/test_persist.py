@@ -61,9 +61,8 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(a.embeddings.data, b.embeddings.data)
             assert np.array_equal(a.ema_cluster_size, b.ema_cluster_size)
             assert np.array_equal(a.ema_embed_sum, b.ema_embed_sum)
-        for name in state.adam_m:
-            assert np.array_equal(loaded.adam_m[name], state.adam_m[name])
-            assert np.array_equal(loaded.adam_v[name], state.adam_v[name])
+        for ours, theirs in zip(loaded.arena, state.arena):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
     def test_evaluate_identical_after_reload(self, tmp_path):
         state = trained_state(quantizer="adaptive")
@@ -138,12 +137,13 @@ class TestCheckpointRoundTrip:
         after = persist._state_arrays(loaded)
         assert list(after) == list(before)
         assert all(after[name] is arr for name, arr in before.items())
-        # Adam updates the arena, so each parameter and moment must still be a view of it
-        arenas = dict(zip(("params", "adam_m", "adam_v"), loaded.arena))
-        viewed = [name for name in after if name.partition("[")[0] in arenas]
-        assert len(viewed) == 3 * len(loaded.params)
-        assert all(np.shares_memory(after[name], arenas[name.partition("[")[0]])
-                   for name in viewed)
+        # Adam updates the arena, so each parameter must still be a view of
+        # its first array, and the moments must be the other two
+        flat, m, v = loaded.arena
+        viewed = [name for name in after if name.startswith("params[")]
+        assert len(viewed) == len(loaded.params)
+        assert all(np.shares_memory(after[name], flat) for name in viewed)
+        assert after["adam_m"] is m and after["adam_v"] is v
 
     def test_training_continues_after_reload(self, tmp_path):
         state = trained_state(steps=3)
@@ -330,7 +330,7 @@ class TestCheckpointErrors:
         path = tmp_path / "ckpt.json"
         save_checkpoint(trained_state(), path)
         doc = json.loads(path.read_text())
-        doc["arrays"]["adam_m[bogus]"] = doc["arrays"]["adam_m[enc.w1]"]
+        doc["arrays"]["adam_m[bogus]"] = doc["arrays"]["params[enc.w1]"]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)

@@ -10,8 +10,9 @@ a temporary directory, loads it back, and prints one line:
 The state SHA-256 covers the loaded state alone: each array a checkpoint
 stores (name, dtype, shape and C-order little-endian bytes, in the
 checkpoint's order), then ``step`` and ``adam_t``. It does not depend on
-the checkpoint format, so a change of format that moves no state byte
-changes the checkpoint column only. A change meant to keep every byte
+the file's encoding, so a change of encoding that moves no state byte
+changes the checkpoint column only; a change of the stored arrays' names
+or shapes changes the state column too. A change meant to keep every byte
 keeps every line; compare the output of two checkouts with ``diff``. Run
 from the repository root:
 
