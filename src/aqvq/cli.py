@@ -14,7 +14,6 @@ failure (an allocation that fails is one).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -33,12 +32,14 @@ from .errors import (
     FormatError,
     NumericError,
     check_config,
+    is_finite_number,
 )
 from .experiments import AblationGrid, ablation_cells, run_trials, sweep_cells, train_run
 from .model import ModelConfig
 from .persist import (
     TRAIN_DEFAULTS,
     RunReport,
+    config_hash,
     read_checkpoint,
     read_json,
     resolve_run_config,
@@ -52,20 +53,12 @@ __all__ = ["cli_main", "main"]
 SEED_ENV_VAR = "AQVQ_SEED"
 
 
-def _is_finite(value) -> bool:
-    """A JSON number that a float holds finitely: not a bool, NaN or inf."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int too large for a float
-        return False
-
-
 def _read_sweep_pairs(path: str) -> list:
     """(n, final_val_recon_sum) pairs of a sweep report; failed rows are skipped."""
     rows = read_json(path, "sweep report")
     if not isinstance(rows, list) or not all(
-            isinstance(r, dict) and _is_finite(r.get("n"))
-            and (r.get("final_val_recon_sum") is None or _is_finite(r["final_val_recon_sum"]))
+            isinstance(r, dict) and is_finite_number(r.get("n"))
+            and (r.get("final_val_recon_sum") is None or is_finite_number(r["final_val_recon_sum"]))
             for r in rows):
         raise ConfigError(f"sweep report {path} must be a list of objects with a finite "
                           "numeric \"n\" and a finite or null \"final_val_recon_sum\"")
@@ -74,11 +67,11 @@ def _read_sweep_pairs(path: str) -> list:
 
 
 def _prepare(args):
-    """Resolve the run config, build the model config and dataset, and
-    create the output directory; the commands write the resolved config
-    there together with their other outputs, after training, so a run
-    that fails leaves no file behind. ``adaptive`` sets the quantizer to
-    a pool of ``--capacity``; ``AQVQ_SEED`` overrides both seeds."""
+    """Resolve the run config, build the model config, dataset recipe and
+    dataset, and create the output directory; the commands write the
+    resolved config there with their other outputs, after training, so a
+    run that fails leaves no file behind. ``adaptive`` sets the quantizer
+    to a pool of ``--capacity``; ``AQVQ_SEED`` overrides both seeds."""
     resolved = resolve_run_config({} if args.config is None
                                   else read_json(args.config, "config file"))
     if args.command == "adaptive":
@@ -90,43 +83,44 @@ def _prepare(args):
         except ValueError as err:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from err
     model = ModelConfig.from_dict(resolved["model"])
-    dataset = make_dataset(DatasetSource.from_dict(resolved["dataset"]))
+    source = DatasetSource.from_dict(resolved["dataset"])
+    dataset = make_dataset(source)
     if dataset.sample_shape != model.input_shape:
         raise ConfigError(f"model input_shape {list(model.input_shape)} does not match "
                           f"dataset samples shaped {list(dataset.sample_shape)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return resolved, out, model, dataset
+    return resolved, out, model, source, dataset
 
 
 def _cmd_train(args) -> int:
-    resolved, out, config, dataset = _prepare(args)
+    resolved, out, config, source, dataset = _prepare(args)
     train = resolved["train"]
     state = None
     steps = train["steps"]
     if args.resume is not None:
-        state, source = read_checkpoint(args.resume)
+        state, saved = read_checkpoint(args.resume)
         if state.config != config:
             raise ConfigError(
                 f"checkpoint {args.resume} was trained with a different model config"
             )
-        if source is not None and source != DatasetSource.from_dict(resolved["dataset"]):
+        if saved is not None and saved != source:
             raise ConfigError(
                 f"checkpoint {args.resume} was trained on a different dataset recipe"
             )
-        steps = train["steps"] - state.step
-        print(f"resumed at step {state.step}; {max(steps, 0)} steps remaining")
-    if state is None or steps >= 1:
-        state, report = train_run(config, dataset, **{**train, "steps": steps},
-                                  resolved_config=resolved, state=state)
-        report.to_json(out / "report.json")
-        summary = report.summary
-        print(f"trained to step {state.step}; "
-              f"final validation recon sum {summary['final_val_recon_sum']:.6f} "
-              f"(config {summary['config_hash'][:12]})")
+        steps -= state.step
+        if steps < 1:
+            raise ConfigError(f"checkpoint {args.resume} is at step {state.step}, so a budget "
+                              f"of {train['steps']} steps leaves none to train")
+        print(f"resumed at step {state.step}; {steps} steps remaining")
+    state, report = train_run(config, dataset, **{**train, "steps": steps}, state=state)
+    report.set_summary(config_hash=config_hash(resolved))
+    report.to_json(out / "report.json")
+    print(f"trained to step {state.step}; "
+          f"final validation recon sum {report.summary['final_val_recon_sum']:.6f} "
+          f"(config {report.summary['config_hash'][:12]})")
     write_json(out / "resolved_config.json", resolved, sort_keys=True)
-    save_checkpoint(state, out / "checkpoint.json",
-                    dataset=DatasetSource.from_dict(resolved["dataset"]))
+    save_checkpoint(state, out / "checkpoint.json", dataset=source)
     return 0
 
 
@@ -134,7 +128,7 @@ def _run_cells(args, name: str, make_cells, row, columns) -> list:
     """Train the cells ``make_cells(model config)`` with the config's train
     section; write ``row(trial)`` of each to <name>.json and its ``columns``
     to <name>.csv."""
-    resolved, out, config, dataset = _prepare(args)
+    resolved, out, config, _, dataset = _prepare(args)
     rows = [row(t) for t in run_trials(dataset, make_cells(config), **resolved["train"])]
     write_json(out / "resolved_config.json", resolved, sort_keys=True)
     write_json(out / f"{name}.json", rows)
@@ -175,6 +169,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.gradient_gap and args.fit_analytic is not None:
+        raise ConfigError("analyze runs one analysis: pass --gradient-gap or --fit-analytic, "
+                          "not both")
     if args.gradient_gap:
         if args.checkpoint is None:
             raise ConfigError("analyze --gradient-gap needs --checkpoint")

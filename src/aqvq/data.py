@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_addressable, check_config
+from .errors import ConfigError, FormatError, check_addressable, check_config, is_finite_number
 
 __all__ = ["DatasetSource", "Dataset", "synth_dataset", "load_idx", "make_dataset",
            "open_input", "read_bytes"]
@@ -48,7 +48,7 @@ class DatasetSource:
         if self.seed < 0:
             raise ConfigError(f"dataset seed must be nonnegative, got {self.seed}")
         for name in ("noise_sigma", "spread"):
-            if not np.isfinite(getattr(self, name)):
+            if not is_finite_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"validation fraction must lie in (0,1), got {self.val_fraction}")

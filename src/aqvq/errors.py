@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, the check that turns a
-config document of the wrong shape into a ``ConfigError``, and the check
-that a config's sizes shape arrays numpy can address."""
+config document of the wrong shape into a ``ConfigError`` (with the one
+rule for a config number), and the check that its sizes are addressable."""
 
 import json
 import math
@@ -42,6 +42,14 @@ class FitError(ValueError):
     """A model fit could not be performed on the given data."""
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a number, not a bool, that a float holds finitely."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
+        return False
+
+
 def _same_type(value, default) -> bool:
     if default is None:  # optional file paths
         return value is None or isinstance(value, str)
@@ -49,19 +57,16 @@ def _same_type(value, default) -> bool:
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_same_type(v, default[0]) for v in value)
-    if isinstance(default, float) and isinstance(value, int):
-        try:  # an integer is a float value if a float can hold it
-            float(value)
-        except OverflowError:
-            return False
-        return True
+    if isinstance(default, float):
+        # NaN and inf pass here, so the config's own finiteness check names them
+        return isinstance(value, float) or is_finite_number(value)
     return isinstance(value, type(default))
 
 
 def check_config(name: str, raw, defaults) -> dict:
     """Return ``raw`` once it is a JSON object whose keys are those of
-    ``defaults`` (a dict, or a dataclass's field defaults) and whose
-    values have their defaults' JSON types."""
+    ``defaults`` (a dict, or a dataclass's field defaults) and whose values
+    have their defaults' JSON types, with each float-default value a float."""
     if not isinstance(defaults, dict):
         defaults = {f.name: f.default for f in fields(defaults)}
     if not isinstance(raw, dict):
@@ -73,7 +78,7 @@ def check_config(name: str, raw, defaults) -> dict:
         if not _same_type(value, defaults[key]):
             raise ConfigError(f"{name} config value {key} = {reprlib.repr(value)} does not "
                               f"have the type of its default {json.dumps(defaults[key])}")
-    return raw
+    return {k: float(v) if isinstance(defaults[k], float) else v for k, v in raw.items()}
 
 
 def check_addressable(config: str, names: str, *shape: int) -> None:

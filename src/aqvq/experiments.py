@@ -60,7 +60,7 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
               gap_every: int = TRAIN_DEFAULTS["gap_every"],
               probe_size: int = TRAIN_DEFAULTS["probe_size"],
               eval_batch_size: int = TRAIN_DEFAULTS["eval_batch_size"],
-              resolved_config: dict | None = None, state: TrainState | None = None):
+              state: TrainState | None = None):
     """Train one model for ``steps`` batches; returns (state, RunReport).
 
     The selection temperature counts down linearly over the budget.
@@ -68,8 +68,10 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
     when nonzero) divides its number: the record holds the step's
     training metrics and, on ``gap_every`` steps only, the gradient gap
     on a fixed validation batch (``gap`` is None on the rest). Passing
-    an existing ``state`` continues training it (with fresh data and
-    noise streams) instead of initializing a new model.
+    an existing ``state`` trains it for ``steps`` more batches instead of
+    initializing a new model; the data order and the Gumbel noise are
+    drawn afresh and the temperature counts down over those ``steps``, so
+    a resumed run does not equal the run that was never interrupted.
     """
     if steps < 1 or eval_batch_size < 1:
         raise ConfigError(f"training budget and evaluation batch size must be at least 1, "
@@ -105,8 +107,7 @@ def train_run(config: ModelConfig, dataset: Dataset, steps: int,
         final_val_recon_sum=final["recon_loss_sum"],
         final_val_recon_mean=final["recon_loss_mean"],
         wall_time=time.perf_counter() - started,
-        config_hash=config_hash(resolved_config if resolved_config is not None
-                                else {"model": config.to_dict()}),
+        config_hash=config_hash({"model": config.to_dict()}),
         steps=steps,
     )
     return state, report

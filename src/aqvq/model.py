@@ -27,6 +27,7 @@ from .errors import (
     NumericError,
     check_addressable,
     check_config,
+    is_finite_number,
 )
 from .tensor import (
     Tensor,
@@ -113,7 +114,7 @@ class ModelConfig:
                           self.input_shape[0], self.num_hiddens, *kernel)
         check_addressable("model", "num_hiddens", self.num_hiddens, self.num_hiddens, *kernel)
         for name in ("alpha", "beta", "learning_rate", "laplace_eps"):
-            if not np.isfinite(getattr(self, name)):
+            if not is_finite_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0 or self.learning_rate < 0:
             raise ConfigError("alpha, beta and learning_rate must be nonnegative")

@@ -259,8 +259,6 @@ def add(a: Tensor, b) -> Tensor:
         vjp = lambda g: (g, g)
     elif b.data.shape == ():
         vjp = lambda g: (g, g.sum())
-    elif a.data.shape == ():
-        vjp = lambda g: (g.sum(), g)
     else:
         raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}")
     return _node("add", a.data + b.data, (a, b), vjp)

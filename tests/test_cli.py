@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from helpers import DAMAGE, damaged_checkpoints, report_record, stored_values
 from aqvq.cli import cli_main
 from aqvq.data import DatasetSource
+from aqvq.errors import ConfigError
 from aqvq.experiments import AblationGrid
 from aqvq.model import ModelConfig
+from aqvq.persist import config_hash
 
 RNG = np.random.default_rng
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -118,6 +120,22 @@ class TestTrain:
         assert rc == 0
         doc = json.loads((out2 / "checkpoint.json").read_text())
         assert doc["step"] == 20
+
+    @pytest.mark.parametrize("budget", [12, 8], ids=["at-budget", "past-budget"])
+    def test_resume_with_no_steps_left_exits_one(self, tmp_path, run_config, capsys, budget):
+        first = tmp_path / "first"  # trained to step 12
+        assert cli_main(["train", "--config", str(run_config), "--out", str(first)]) == 0
+        raw = json.loads(run_config.read_text())
+        raw["train"]["steps"] = budget
+        run_config.write_text(json.dumps(raw))
+        out = tmp_path / "second"
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(run_config), "--out", str(out),
+                         "--resume", str(first / "checkpoint.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "step 12" in err and f"budget of {budget} steps" in err
+        assert list(out.glob("*")) == []
 
     def test_resume_rejects_mismatched_model(self, tmp_path, run_config):
         out1 = tmp_path / "first"
@@ -485,6 +503,34 @@ class TestAnalyzeAndReport:
     def test_analyze_needs_a_task(self, capsys):
         assert cli_main(["analyze"]) == 1
 
+    @pytest.mark.parametrize("case,message", [
+        ("both-analyses", "not both"),
+        ("gap-without-checkpoint", "needs --checkpoint"),
+        ("checkpoint-without-recipe", "no dataset recipe"),
+    ])
+    def test_analyze_error_exits_one_with_one_line(self, tmp_path, run_config, capsys, case,
+                                                   message):
+        run = tmp_path / "run"
+        assert cli_main(["train", "--config", str(run_config), "--out", str(run)]) == 0
+        checkpoint = run / "checkpoint.json"
+        argv = ["analyze", "--gradient-gap", "--checkpoint", str(checkpoint)]
+        if case == "both-analyses":
+            sweep = tmp_path / "sweep.json"
+            sweep.write_text(json.dumps([{"n": n, "final_val_recon_sum": 4.0 / n + 0.1 * n}
+                                         for n in (2, 4, 8, 16)]))
+            argv += ["--fit-analytic", str(sweep)]
+        elif case == "gap-without-checkpoint":
+            argv = argv[:2]
+        else:
+            doc = json.loads(checkpoint.read_text())
+            doc["config"]["dataset"] = None
+            checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert message in err
+
     def test_report_csv_matches_json(self, tmp_path, run_config):
         out = tmp_path / "run"
         cli_main(["train", "--config", str(run_config), "--out", str(out)])
@@ -600,6 +646,63 @@ class TestFloatTooLarge:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert key in err and list(out.glob("*")) == []
+
+
+FLOAT_FIELDS = [(cls, f.name) for cls in (ModelConfig, DatasetSource) for f in fields(cls)
+                if isinstance(f.default, float)]
+
+
+class TestOneNumberRule:
+    """A model or dataset key whose default is a float takes a number,
+    not a bool, that a float holds finitely, and reads an integer as the
+    float it equals."""
+
+    @pytest.mark.parametrize("cls,key", FLOAT_FIELDS, ids=[key for _, key in FLOAT_FIELDS])
+    def test_from_dict_reads_an_integer_as_a_float(self, cls, key):
+        try:
+            config = cls.from_dict({key: 10**20})
+        except ConfigError:
+            pass
+        else:
+            assert type(getattr(config, key)) is float
+        with pytest.raises(ConfigError, match=key):
+            cls.from_dict({key: 10**400})
+
+    @pytest.mark.parametrize("cls,key", FLOAT_FIELDS, ids=[key for _, key in FLOAT_FIELDS])
+    def test_integer_and_float_give_one_run(self, tmp_path, run_config, cls, key):
+        try:
+            cls.from_dict({key: 1})
+        except ConfigError:
+            valid = False
+        else:
+            valid = True
+        raw = json.loads(run_config.read_text())
+        raw["train"]["steps"] = 1
+        runs = []
+        for value in (1, 1.0):
+            raw["model" if cls is ModelConfig else "dataset"][key] = value
+            path, out = tmp_path / f"{value!r}.json", tmp_path / repr(value)
+            path.write_text(json.dumps(raw))
+            assert cli_main(["train", "--config", str(path), "--out", str(out)]) == (
+                0 if valid else 1)
+            runs.append(out)
+        if valid:
+            resolved = [(out / "resolved_config.json").read_bytes() for out in runs]
+            hashes = {json.loads((out / "report.json").read_text())["summary"]["config_hash"]
+                      for out in runs}
+            assert resolved[0] == resolved[1]
+            assert hashes == {config_hash(json.loads(resolved[0]))}
+
+    @pytest.mark.parametrize("section,key", [("model", "alpha"), ("dataset", "noise_sigma")])
+    def test_train_with_a_large_integer_ends_cleanly(self, tmp_path, run_config, section, key):
+        raw = json.loads(run_config.read_text())
+        raw[section][key] = 10**20
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(raw))
+        result = _run_module("train", "--config", path, "--out", tmp_path / "out")
+        assert result.returncode in (0, 1, 2)
+        assert len(result.stderr.strip().splitlines()) <= 1
+        assert "Traceback" not in result.stderr
 
 
 class TestArgumentErrors:

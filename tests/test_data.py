@@ -2,11 +2,13 @@
 pattern images against their per-sample oracle) and the IDX file format
 reader (magic validation, truncation, scaling)."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from aqvq.cli import cli_main
 from aqvq.data import Dataset, DatasetSource, _patterns, load_idx, make_dataset, synth_dataset
 from aqvq.errors import ConfigError, FormatError
 from helpers import reference_patterns
@@ -182,7 +184,42 @@ class TestLoadIdx:
             load_idx(str(images), str(labels))
 
 
+@pytest.fixture
+def labelled_idx(tmp_path):
+    """Eight 4x4 images, image i filled with the value 30 * i, and an
+    IDX label file giving image i the label 3 * i % 8."""
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(idx_bytes(0x08, (8, 4, 4), np.repeat(np.arange(8) * 30, 16).tolist()))
+    labels.write_bytes(idx_bytes(0x08, (8,), [3 * i % 8 for i in range(8)]))
+    return images, labels
+
+
 class TestMakeDataset:
+    def test_idx_rows_keep_their_labels(self, labelled_idx):
+        images, labels = labelled_idx
+        ds = make_dataset(DatasetSource(kind="idx_images", images_path=str(images),
+                                        labels_path=str(labels), val_fraction=0.25, seed=4))
+        seen = []
+        for rows, row_labels in ((ds.train, ds.labels_train), (ds.val, ds.labels_val)):
+            assert row_labels.shape == (rows.shape[0],)
+            for row, label in zip(rows, row_labels):
+                i = round(row[0, 0, 0] * 255 / 30)
+                np.testing.assert_array_equal(row, np.full((1, 4, 4), 30 * i / 255))
+                assert label == 3 * i % 8
+                seen.append(i)
+        assert sorted(seen) == list(range(8)) and ds.val.shape[0] == 2
+
+    def test_train_on_labelled_idx(self, tmp_path, labelled_idx):
+        images, labels = labelled_idx
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"encoder_arch": "small_conv", "input_shape": [1, 4, 4], "batch_size": 4},
+            "dataset": {"kind": "idx_images", "images_path": str(images),
+                        "labels_path": str(labels)},
+            "train": {"steps": 2},
+        }))
+        assert cli_main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+
     def test_idx_end_to_end(self, tmp_path):
         images = tmp_path / "images.idx"
         pixels = RNG(0).integers(0, 256, size=128).astype(np.uint8)

@@ -1,11 +1,14 @@
-"""Digest of the trained state of every benchmark workload.
+"""Digest of the trained state of every benchmark workload and of the
+dense fixed-codebook model.
 
-For each workload of ``perfbench/workload.py``, at the reference seeds
-(data 11, model 0), in double and in single precision, trains the
-benchmark's ``STEPS`` steps from a fresh state, saves the checkpoint to
-a temporary directory, loads it back, and prints one line:
+For each workload of ``perfbench/workload.py``, and then for
+``dense-fixed`` (the ``dense-w64`` inputs with the fixed ``[16,4]``
+codebook in place of the adaptive pool), at the reference seeds (data
+11, model 0), in double and in single precision, trains the benchmark's
+``STEPS`` steps from a fresh state, saves the checkpoint to a temporary
+directory, loads it back, and prints one line:
 
-    <workload> <precision> <checkpoint SHA-256> <final_val_recon_sum as hex> <state SHA-256>
+    <run> <precision> <checkpoint SHA-256> <final_val_recon_sum as hex> <state SHA-256>
 
 The state SHA-256 covers the loaded state alone: each array a checkpoint
 stores (name, dtype, shape and C-order little-endian bytes, in the
@@ -42,6 +45,10 @@ from workload import STEPS, WORKLOADS, make_inputs  # noqa: E402
 
 DATA_SEED, MODEL_SEED = 11, 0
 
+# run name -> (the benchmark workload whose inputs it trains, model fields replaced)
+RUNS = {**{workload: (workload, {}) for workload in WORKLOADS},
+        "dense-fixed": ("dense-w64", {"quantizer": "fixed", "codebook_n": 16, "codebook_d": 4})}
+
 
 def state_sha(state) -> str:
     """SHA-256 of every array a checkpoint of ``state`` stores, with its
@@ -55,23 +62,24 @@ def state_sha(state) -> str:
     return sha.hexdigest()
 
 
-def digest(workload: str, precision: str, directory: Path) -> str:
-    """The line of one workload trained in one precision."""
+def digest(run: str, precision: str, directory: Path) -> str:
+    """The line of one of the ``RUNS`` trained in one precision."""
+    workload, changes = RUNS[run]
     source, config = make_inputs(workload, DATA_SEED, MODEL_SEED)
-    config = dataclasses.replace(config, precision=precision)
+    config = dataclasses.replace(config, precision=precision, **changes)
     state, report = experiments.train_run(config, data.make_dataset(source), STEPS)
-    path = directory / f"{workload}-{precision}.json"
+    path = directory / f"{run}-{precision}.json"
     persist.save_checkpoint(state, path)
     file_sha = hashlib.sha256(path.read_bytes()).hexdigest()
     recon = report.summary["final_val_recon_sum"].hex()
-    return f"{workload} {precision} {file_sha} {recon} {state_sha(persist.load_checkpoint(path))}"
+    return f"{run} {precision} {file_sha} {recon} {state_sha(persist.load_checkpoint(path))}"
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
-        for workload in WORKLOADS:
+        for run in RUNS:
             for precision in ("double", "single"):
-                print(digest(workload, precision, Path(directory)), flush=True)
+                print(digest(run, precision, Path(directory)), flush=True)
 
 
 if __name__ == "__main__":
